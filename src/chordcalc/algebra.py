@@ -28,8 +28,8 @@ the calibration evidence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 from .diagrams import (
     KINDS,
@@ -41,7 +41,7 @@ from .diagrams import (
     enumerate_diagrams,
     from_key,
 )
-from .intlinalg import IntMatrix, hnf
+from .intlinalg import IntMatrix, _pivot_columns, hnf
 
 #: Largest degree at which quotient equality is decided by default.  Above
 #: it the decision raises :class:`UndecidedError` instead of guessing.
@@ -315,12 +315,10 @@ def generate_4T(kind, n, include_zero=True):
     and a distinct target chord contributes one generator; degenerate
     configurations are kept.  Generators whose four terms cancel to the zero
     element are included unless ``include_zero`` is false.  ``n < 2`` yields
-    nothing (a relation needs two chords).
+    nothing (a relation needs two chords); ``n < 0`` raises ``ValueError``.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")
-    if n < 2:
-        return ()
     generators = _all_generators(kind, n)
     if include_zero:
         return generators
@@ -336,8 +334,6 @@ def generate_2T_pairs(kind, n):
     """
     if kind not in ("double", "dlinear"):
         raise ValueError("2T pairs are generated for the double and dlinear kinds")
-    if n < 2:
-        return ()
     pairs = set()
     for base in enumerate_diagrams(kind, n):
         for _a, _occ, _b, _placements, _signs, move_pairs in _moves(kind, base):
@@ -351,7 +347,12 @@ def generate_2T_pairs(kind, n):
 
 @lru_cache(maxsize=None)
 def _integer_lattice(kind, n):
-    """HNF basis of the integer span of the degree-n 4T generators."""
+    """HNF basis of the integer span of the degree-n 4T generators.
+
+    The HNF rows are the generator rows times a unimodular matrix, so they
+    span the same Q-space as the generators too: one basis serves both the
+    Z and the Q membership question.
+    """
     basis = enumerate_diagrams(kind, n)
     index = {key: i for i, key in enumerate(basis)}
     rows = set()
@@ -363,46 +364,8 @@ def _integer_lattice(kind, n):
     if not rows:
         return index, (), ()
     h, _u = hnf(IntMatrix(sorted(rows), cols=len(basis)))
-    hrows = []
-    pivots = []
-    for row in h.entries:
-        p = next((j for j, x in enumerate(row) if x != 0), None)
-        if p is None:
-            break
-        hrows.append(tuple(row))
-        pivots.append(p)
-    return index, tuple(hrows), tuple(pivots)
-
-
-@lru_cache(maxsize=None)
-def _rational_lattice(kind, n):
-    """Reduced row echelon basis of the rational span of the generators."""
-    basis = enumerate_diagrams(kind, n)
-    index = {key: i for i, key in enumerate(basis)}
-    rows = []
-    for gen in generate_4T(kind, n, include_zero=False):
-        row = [Fraction(0)] * len(basis)
-        for key, coeff in gen.element.items():
-            row[index[key]] = Fraction(coeff)
-        rows.append(row)
-    echelon = []
-    pivots = []
-    for row in rows:
-        row = _rational_reduce(row, echelon, pivots)
-        p = next((j for j, x in enumerate(row) if x), None)
-        if p is not None:
-            echelon.append([x / row[p] for x in row])
-            pivots.append(p)
-    return index, echelon, pivots
-
-
-def _rational_reduce(row, echelon, pivots):
-    row = list(row)
-    for erow, p in zip(echelon, pivots):
-        if row[p]:
-            factor = row[p]
-            row = [x - factor * y for x, y in zip(row, erow)]
-    return row
+    pivots = _pivot_columns(h)
+    return index, tuple(tuple(row) for row in h.entries[: len(pivots)]), tuple(pivots)
 
 
 def _vectorize(element, index):
@@ -412,12 +375,23 @@ def _vectorize(element, index):
     return vec
 
 
-def _in_integer_span(vec, hrows, pivots):
+def _in_span(vec, hrows, pivots, rational):
+    """Whether ``vec`` lies in the Z-span (or, if ``rational``, the Q-span) of
+    the echelon rows ``hrows``.
+
+    Over Q, a residual whose pivot entry the pivot does not divide is first
+    multiplied by the smallest integer that makes it divisible; a nonzero
+    scale never changes Q-membership, so the reduction stays integer-only.
+    """
     residual = list(vec)
     for row, p in zip(hrows, pivots):
         q, rem = divmod(residual[p], row[p])
         if rem:
-            return False
+            if not rational:
+                return False
+            scale = row[p] // gcd(rem, row[p])
+            residual = [scale * x for x in residual]
+            q = residual[p] // row[p]
         if q:
             residual = [x - q * y for x, y in zip(residual, row)]
     return not any(residual)
@@ -429,9 +403,10 @@ def quotient_equal(u: ModuleElement, v: ModuleElement, rational=False, max_degre
     Decided degree by degree: the relations are homogeneous, so ``u - v``
     must lie in the span of the degree-n generators for each chord count n it
     touches.  Membership is over the integers by default (the modules are
-    Z-modules); ``rational=True`` switches to the Q-span, a strictly coarser
-    diagnostic.  Degrees above the ceiling raise :class:`UndecidedError`
-    rather than ever returning a wrong boolean.
+    Z-modules); ``rational=True`` switches to the Q-span, a diagnostic that is
+    coarser or equal, decided on the same HNF basis.  Degrees above the
+    ceiling raise :class:`UndecidedError` rather than ever returning a wrong
+    boolean.
     """
     if not isinstance(u, ModuleElement) or not isinstance(v, ModuleElement):
         raise TypeError("quotient_equal compares ModuleElements")
@@ -446,14 +421,8 @@ def quotient_equal(u: ModuleElement, v: ModuleElement, rational=False, max_degre
             raise UndecidedError(
                 f"undecided: degree {n} exceeds the ceiling {ceiling} for kind {u.kind}"
             )
-        piece = difference.homogeneous_part(n)
-        if rational:
-            index, echelon, pivots = _rational_lattice(u.kind, n)
-            vec = [Fraction(x) for x in _vectorize(piece, index)]
-            if any(_rational_reduce(vec, echelon, pivots)):
-                return False
-        else:
-            index, hrows, pivots = _integer_lattice(u.kind, n)
-            if not _in_integer_span(_vectorize(piece, index), hrows, pivots):
-                return False
+        index, hrows, pivots = _integer_lattice(u.kind, n)
+        vec = _vectorize(difference.homogeneous_part(n), index)
+        if not _in_span(vec, hrows, pivots, rational):
+            return False
     return True

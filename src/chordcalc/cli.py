@@ -42,7 +42,7 @@ from .diagrams import (
     from_key,
     spell_label,
 )
-from .parity import psi, psi_l, psi_l_module, psi_module
+from .parity import parity_module
 from .surgery import beta, beta_framed, weight
 from .sums import (
     connected_sum_dlinear,
@@ -276,18 +276,13 @@ def _cmd_beta(args):
     raise ParseError("beta is defined for dcd, dlcd, and cd diagrams", 1)
 
 
-def _cmd_psi(args):
+def _cmd_parity(args):
     value = _as_element(args.input)
-    if value.kind != "framed":
-        raise ParseError("psi takes framed (cd) input", 1)
-    return 0, format_element(psi_module(value))
-
-
-def _cmd_psil(args):
-    value = _as_element(args.input)
-    if value.kind != "linear":
-        raise ParseError("psil takes linear (lcd) input", 1)
-    return 0, format_element(psi_l_module(value))
+    if value.kind != args.kind:
+        raise ParseError(
+            f"{args.command} takes {args.kind} ({_KIND_TO_PREFIX[args.kind]}) input", 1
+        )
+    return 0, format_element(parity_module(value))
 
 
 def _cmd_weight(args):
@@ -395,11 +390,11 @@ def _build_parser():
 
     p = sub.add_parser("psi", help="parity expansion of a framed diagram or element")
     p.add_argument("input")
-    p.set_defaults(run=_cmd_psi)
+    p.set_defaults(run=_cmd_parity, kind="framed")
 
     p = sub.add_parser("psil", help="parity expansion of a linear diagram or element")
     p.add_argument("input")
-    p.set_defaults(run=_cmd_psil)
+    p.set_defaults(run=_cmd_parity, kind="linear")
 
     p = sub.add_parser("weight", help="weight of a double/dlinear element")
     p.add_argument("input")

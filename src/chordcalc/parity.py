@@ -22,6 +22,13 @@ from .diagrams import (
     reverse_word,
 )
 
+#: The parity map of each framed kind: the diagram class it expands, the
+#: image kind and the image diagram class (two circles or two lines).
+_PARITY = {
+    "framed": (FramedChordDiagram, "double", DoubleChordDiagram),
+    "linear": (FramedLinearDiagram, "dlinear", DoubleLinearDiagram),
+}
+
 
 def _split_summands(word, framing, make):
     labels = []
@@ -49,6 +56,33 @@ def _split_summands(word, framing, make):
         yield sides, make(tuple(side1), reverse_word(side2))
 
 
+def _summands(kind, d):
+    source, _image_kind, image = _PARITY[kind]
+    if not isinstance(d, source):
+        raise TypeError(f"expected {source.__name__}, got {type(d).__name__}")
+    yield from _split_summands(d.word, d.framing, image)
+
+
+def _expansion(kind, d):
+    terms = {}
+    for _sides, summand in _summands(kind, d):
+        key = summand.key()
+        terms[key] = terms.get(key, 0) + 1
+    return ModuleElement(_PARITY[kind][1], terms)
+
+
+def parity_module(u: ModuleElement) -> ModuleElement:
+    """Linear extension of the parity map to a framed or linear element:
+    :func:`psi_module` or :func:`psi_l_module`, chosen by the element's kind.
+    """
+    if u.kind not in _PARITY:
+        raise ValueError(f"the parity map expands framed or linear elements, got {u.kind}")
+    result = ModuleElement.zero(_PARITY[u.kind][1])
+    for key, coeff in u.items():
+        result = result + coeff * _expansion(u.kind, from_key(key))
+    return result
+
+
 def psi_summands(d: FramedChordDiagram):
     """Yield the 2^n raw splittings of a framed chord diagram.
 
@@ -58,9 +92,7 @@ def psi_summands(d: FramedChordDiagram):
     circles, framing-0 chords on one.  The second circle's word is reversed:
     its orientation flips.
     """
-    if not isinstance(d, FramedChordDiagram):
-        raise TypeError(f"expected FramedChordDiagram, got {type(d).__name__}")
-    yield from _split_summands(d.word, d.framing, DoubleChordDiagram)
+    yield from _summands("framed", d)
 
 
 def psi(d: FramedChordDiagram) -> ModuleElement:
@@ -69,21 +101,14 @@ def psi(d: FramedChordDiagram) -> ModuleElement:
     The free loop maps to the chordless double diagram with coefficient 1
     (the empty product has one factor).
     """
-    terms = {}
-    for _sides, summand in psi_summands(d):
-        key = summand.key()
-        terms[key] = terms.get(key, 0) + 1
-    return ModuleElement("double", terms)
+    return _expansion("framed", d)
 
 
 def psi_module(u: ModuleElement) -> ModuleElement:
     """Linear extension of :func:`psi` to framed module elements."""
     if u.kind != "framed":
         raise ValueError(f"psi_module expects a framed element, got {u.kind}")
-    result = ModuleElement.zero("double")
-    for key, coeff in u.items():
-        result = result + coeff * psi(from_key(key))
-    return result
+    return parity_module(u)
 
 
 def psi_l_summands(g: FramedLinearDiagram):
@@ -92,25 +117,16 @@ def psi_l_summands(g: FramedLinearDiagram):
     Line 1 keeps the original order of its endpoints; line 2 is read
     reversed, mirroring the circle case.
     """
-    if not isinstance(g, FramedLinearDiagram):
-        raise TypeError(f"expected FramedLinearDiagram, got {type(g).__name__}")
-    yield from _split_summands(g.word, g.framing, DoubleLinearDiagram)
+    yield from _summands("linear", g)
 
 
 def psi_l(g: FramedLinearDiagram) -> ModuleElement:
     """The parity expansion of one framed linear diagram."""
-    terms = {}
-    for _sides, summand in psi_l_summands(g):
-        key = summand.key()
-        terms[key] = terms.get(key, 0) + 1
-    return ModuleElement("dlinear", terms)
+    return _expansion("linear", g)
 
 
 def psi_l_module(u: ModuleElement) -> ModuleElement:
     """Linear extension of :func:`psi_l` to linear module elements."""
     if u.kind != "linear":
         raise ValueError(f"psi_l_module expects a linear element, got {u.kind}")
-    result = ModuleElement.zero("dlinear")
-    for key, coeff in u.items():
-        result = result + coeff * psi_l(from_key(key))
-    return result
+    return parity_module(u)

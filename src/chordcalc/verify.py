@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .algebra import ModuleElement, generate_2T_pairs, generate_4T, quotient_equal
 from .diagrams import enumerate_diagrams, from_key
-from .parity import psi_l, psi_l_module, psi_module
+from .parity import parity_module, psi_l, psi_module
 from .sums import connected_sum_dlinear, connected_sum_linear
 from .surgery import beta, weight
 
@@ -53,11 +53,10 @@ def two_term_beta(kind: str, n: int) -> SweepResult:
 def psi_weight_kill(kind: str, n: int) -> SweepResult:
     """The weight of the parity image vanishes on every 4T generator
     (framed or linear kind).  Cheaper necessary half of the span check."""
-    expand = psi_module if kind == "framed" else psi_l_module
     failures = []
     gens = generate_4T(kind, n)
     for gen in gens:
-        w = weight(expand(gen.element))
+        w = weight(parity_module(gen.element))
         if w != 0:
             failures.append((gen.base, gen.moving_chord, gen.occurrence, gen.target_chord, w))
     return SweepResult(f"psi-w-kill {kind} n={n}", len(gens), tuple(failures))
@@ -66,15 +65,11 @@ def psi_weight_kill(kind: str, n: int) -> SweepResult:
 def psi_relation_span(kind: str, n: int) -> SweepResult:
     """The parity image of every 4T generator lies in the integer span of
     the image kind's 4T generators (exact Diophantine membership)."""
-    if kind == "framed":
-        expand, image_kind = psi_module, "double"
-    else:
-        expand, image_kind = psi_l_module, "dlinear"
-    zero = ModuleElement.zero(image_kind)
     failures = []
     gens = generate_4T(kind, n)
     for gen in gens:
-        if not quotient_equal(expand(gen.element), zero):
+        image = parity_module(gen.element)
+        if not quotient_equal(image, ModuleElement.zero(image.kind)):
             failures.append((gen.base, gen.moving_chord, gen.occurrence, gen.target_chord))
     return SweepResult(f"psi-span {kind} n={n}", len(gens), tuple(failures))
 

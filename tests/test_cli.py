@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -208,10 +209,11 @@ def test_coproduct_command(capsys):
 
 
 def test_quotient_eq_exit_codes(capsys):
-    code, out, _ = run_main(capsys, "quotient-eq", "1 [dcd: A A |]", "1 [dcd: A | A]")
-    assert (code, out) == (1, "false\n")
-    code, out, _ = run_main(capsys, "quotient-eq", "1 [dcd: A A |]", "1 [dcd: A A |]")
-    assert (code, out) == (0, "true\n")
+    for field in ((), ("--rational",)):
+        code, out, _ = run_main(capsys, "quotient-eq", "1 [dcd: A A |]", "1 [dcd: A | A]", *field)
+        assert (code, out) == (1, "false\n")
+        code, out, _ = run_main(capsys, "quotient-eq", "1 [dcd: A A |]", "1 [dcd: A A |]", *field)
+        assert (code, out) == (0, "true\n")
 
 
 def test_enumerate_command(capsys):
@@ -245,6 +247,13 @@ def test_check_4t_framed(capsys):
     assert code == 0
     assert "psi-w-kill: PASS" in out
     assert "psi-span: PASS" in out
+
+
+def test_check_4t_rejects_negative_degree(capsys):
+    for kind in ("framed", "double"):
+        code, out, err = run_main(capsys, "check-4t", "--kind", kind, "--degree", "-1")
+        assert (code, out) == (2, "")
+        assert err == "error: chord count must be nonnegative\n"
 
 
 def test_find_counterexample_command(capsys):
@@ -281,6 +290,7 @@ def test_out_flag(tmp_path, capsys):
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "chordcalc", "beta", "dcd: A | A"],
+        cwd=Path(__file__).resolve().parents[1] / "src",
         capture_output=True,
         text=True,
     )
