@@ -363,7 +363,7 @@ def _integer_lattice(kind, n):
         rows.add(tuple(row))
     if not rows:
         return index, (), ()
-    h, _u = hnf(IntMatrix(sorted(rows), cols=len(basis)))
+    h, _ = hnf(IntMatrix(sorted(rows), cols=len(basis)), transform=False)
     pivots = _pivot_columns(h)
     return index, tuple(tuple(row) for row in h.entries[: len(pivots)]), tuple(pivots)
 

@@ -195,16 +195,21 @@ def _relabel_tokens(seq):
     return tuple(out)
 
 
-def _relabel_pair(w1, w2):
-    numbering = {}
-
-    def number(lab):
+def _numbered(word, numbering):
+    """``word`` with every label replaced by its number in ``numbering``;
+    labels not numbered yet get the next numbers, in order of appearance."""
+    out = []
+    for lab in word:
         num = numbering.get(lab)
         if num is None:
             num = numbering[lab] = len(numbering) + 1
-        return num
+        out.append(num)
+    return tuple(out)
 
-    return (tuple(number(lab) for lab in w1), tuple(number(lab) for lab in w2))
+
+def _relabel_pair(w1, w2):
+    numbering = {}
+    return (_numbered(w1, numbering), _numbered(w2, numbering))
 
 
 def _rotations(seq):
@@ -223,14 +228,27 @@ def _canon_framed(tokens) -> CanonicalKey:
 
 @lru_cache(maxsize=None)
 def _canon_double(w1, w2) -> CanonicalKey:
-    best = None
+    # The key is the least _relabel_pair(ra, rb) = (t1, t2) over both circle
+    # orders and all rotations ra, rb.  Pairs compare by t1 first, and t1
+    # depends on ra alone, so the least t1 is found over the rotations of the
+    # first word only; t2 is then minimised over every rotation of the other
+    # word, but only after the rotations ra that tie for that least t1, each
+    # continuing its own numbering.  That is the same minimum as the scan
+    # over all pairs, in about 2L relabellings instead of 2L^2; when many
+    # rotations tie (a symmetric word) it falls back to about the full scan.
+    best1, ties = None, []
     for a, b in ((w1, w2), (w2, w1)):
         for ra in _rotations(a):
-            for rb in _rotations(b):
-                cand = _relabel_pair(ra, rb)
-                if best is None or cand < best:
-                    best = cand
-    return CanonicalKey("double", best)
+            numbering = {}
+            t1 = _numbered(ra, numbering)
+            if best1 is None or t1 < best1:
+                best1, ties = t1, [(numbering, b)]
+            elif t1 == best1:
+                ties.append((numbering, b))
+    best2 = min(
+        _numbered(rb, dict(numbering)) for numbering, b in ties for rb in _rotations(b)
+    )
+    return CanonicalKey("double", (best1, best2))
 
 
 @lru_cache(maxsize=None)
@@ -313,7 +331,7 @@ def enumerate_diagrams(kind: str, n: int):
 
     Brute force over matchings of 2n endpoint slots (times framings, times
     slot splits between the two words), canonicalized and deduplicated.
-    Practical ceiling: n <= 6 for ``double`` (a minute or two); everything in
+    ``double`` takes about 0.5 s at n = 5 and 9 s at n = 6; everything in
     the shipped verification sweeps uses n <= 4.
     """
     if kind not in KINDS:

@@ -83,17 +83,31 @@ class IntMatrix:
         return f"IntMatrix({self.entries!r})"
 
 
-def hnf(a: IntMatrix):
+def hnf(a: IntMatrix, transform=True):
     """Row-style Hermite normal form: returns ``(H, U)`` with ``H = U @ a``.
 
     ``U`` is unimodular (it is a product of row swaps, row negations, and
     integer row additions, so ``det U`` is +-1).  ``H`` is in row echelon
     form with positive pivots; every entry above a pivot is reduced into
-    ``[0, pivot)``.  Zero rows sink to the bottom.
+    ``[0, pivot)``.  Zero rows sink to the bottom.  With ``transform=False``
+    the row operations are applied to ``H`` alone and ``U`` is ``None``;
+    ``H`` is the same.
     """
     h = [row[:] for row in a.entries]
     m, ncols = a.rows, a.cols
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    mats = [h]
+    if transform:
+        u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+        mats.append(u)
+
+    def swap(i, j):
+        for x in mats:
+            x[i], x[j] = x[j], x[i]
+
+    def subtract(i, q, j):  # row i -= q * row j
+        for x in mats:
+            x[i] = [s - q * t for s, t in zip(x[i], x[j])]
+
     r = 0
     for c in range(ncols):
         if r == m:
@@ -105,15 +119,13 @@ def hnf(a: IntMatrix):
                 break
             i0 = min(nonzero, key=lambda i: (abs(h[i][c]), i))
             if i0 != r:
-                h[r], h[i0] = h[i0], h[r]
-                u[r], u[i0] = u[i0], u[r]
+                swap(r, i0)
             done = True
             for i in range(r + 1, m):
                 if h[i][c] != 0:
                     q = h[i][c] // h[r][c]
                     if q:
-                        h[i] = [x - q * y for x, y in zip(h[i], h[r])]
-                        u[i] = [x - q * y for x, y in zip(u[i], u[r])]
+                        subtract(i, q, r)
                     if h[i][c] != 0:
                         done = False
             if done:
@@ -121,15 +133,14 @@ def hnf(a: IntMatrix):
         if h[r][c] == 0:
             continue
         if h[r][c] < 0:
-            h[r] = [-x for x in h[r]]
-            u[r] = [-x for x in u[r]]
+            for x in mats:
+                x[r] = [-s for s in x[r]]
         for j in range(r):
             q = h[j][c] // h[r][c]
             if q:
-                h[j] = [x - q * y for x, y in zip(h[j], h[r])]
-                u[j] = [x - q * y for x, y in zip(u[j], u[r])]
+                subtract(j, q, r)
         r += 1
-    return IntMatrix(h, cols=ncols), IntMatrix(u, cols=m)
+    return IntMatrix(h, cols=ncols), (IntMatrix(u, cols=m) if transform else None)
 
 
 def det(a: IntMatrix) -> int:

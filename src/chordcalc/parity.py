@@ -18,69 +18,88 @@ from .diagrams import (
     DoubleLinearDiagram,
     FramedChordDiagram,
     FramedLinearDiagram,
-    from_key,
+    _canon_double,
+    _canon_dlinear,
     reverse_word,
 )
 
 #: The parity map of each framed kind: the diagram class it expands, the
-#: image kind and the image diagram class (two circles or two lines).
+#: image kind, the image diagram class (two circles or two lines) and the
+#: canonicalizer of the image kind's words.
 _PARITY = {
-    "framed": (FramedChordDiagram, "double", DoubleChordDiagram),
-    "linear": (FramedLinearDiagram, "dlinear", DoubleLinearDiagram),
+    "framed": (FramedChordDiagram, "double", DoubleChordDiagram, _canon_double),
+    "linear": (FramedLinearDiagram, "dlinear", DoubleLinearDiagram, _canon_dlinear),
 }
 
 
-def _split_summands(word, framing, make):
-    labels = []
-    for lab in word:
-        if lab not in labels:
-            labels.append(lab)
+def _split_summands(word, framing):
+    """Yield ``(first_side, side1, side2)`` for each of the 2^n choices of the
+    side of every chord's first endpoint; ``side2`` is already reversed."""
+    labels = tuple(dict.fromkeys(word))
     for bits in itertools.product((0, 1), repeat=len(labels)):
-        first_side = dict(zip(labels, bits))
-        seen_once = set()
-        sides = {}
-        side1, side2 = [], []
+        side = dict(zip(labels, bits))  # side of each chord's next endpoint
+        words = ([], [])
         for lab in word:
-            if framing[lab] == 0:
-                side = first_side[lab]
-            elif lab not in seen_once:
-                side = first_side[lab]
-            else:
-                side = 1 - first_side[lab]
-            if lab in seen_once:
-                sides[lab] = (sides[lab], side)
-            else:
-                seen_once.add(lab)
-                sides[lab] = side
-            (side1 if side == 0 else side2).append(lab)
-        yield sides, make(tuple(side1), reverse_word(side2))
+            words[side[lab]].append(lab)
+            side[lab] ^= framing[lab]
+        # every chord's side was flipped by its framing twice, so ``side``
+        # holds the side of each first endpoint again
+        yield side, tuple(words[0]), reverse_word(words[1])
+
+
+def _checked(kind, d):
+    source = _PARITY[kind][0]
+    if not isinstance(d, source):
+        raise TypeError(f"expected {source.__name__}, got {type(d).__name__}")
+    return d
 
 
 def _summands(kind, d):
-    source, _image_kind, image = _PARITY[kind]
-    if not isinstance(d, source):
-        raise TypeError(f"expected {source.__name__}, got {type(d).__name__}")
-    yield from _split_summands(d.word, d.framing, image)
+    d = _checked(kind, d)
+    image = _PARITY[kind][2]
+    for first_side, w1, w2 in _split_summands(d.word, d.framing):
+        sides = {lab: (s, s ^ d.framing[lab]) for lab, s in first_side.items()}
+        yield sides, image(w1, w2)
 
 
-def _expansion(kind, d):
+def _expansion(kind, word, framing):
+    """The parity image of one framed or linear word as ``{key: count}``.
+
+    The words come from a validated diagram or a canonical key, so every
+    summand is canonicalized directly, without building a diagram object.
+    """
+    canon = _PARITY[kind][3]
     terms = {}
-    for _sides, summand in _summands(kind, d):
-        key = summand.key()
+    for _first_side, w1, w2 in _split_summands(word, framing):
+        key = canon(w1, w2)
         terms[key] = terms.get(key, 0) + 1
-    return ModuleElement(_PARITY[kind][1], terms)
+    return terms
+
+
+def _psi(kind, d):
+    d = _checked(kind, d)
+    return ModuleElement(_PARITY[kind][1], _expansion(kind, d.word, d.framing))
+
+
+def _image_kind(kind):
+    """The kind the parity map sends ``kind`` to; ``ValueError`` for a kind
+    it does not expand."""
+    if kind not in _PARITY:
+        raise ValueError(f"the parity map expands framed or linear elements, got {kind}")
+    return _PARITY[kind][1]
 
 
 def parity_module(u: ModuleElement) -> ModuleElement:
     """Linear extension of the parity map to a framed or linear element:
     :func:`psi_module` or :func:`psi_l_module`, chosen by the element's kind.
     """
-    if u.kind not in _PARITY:
-        raise ValueError(f"the parity map expands framed or linear elements, got {u.kind}")
-    result = ModuleElement.zero(_PARITY[u.kind][1])
+    image_kind = _image_kind(u.kind)
+    terms = []
     for key, coeff in u.items():
-        result = result + coeff * _expansion(u.kind, from_key(key))
-    return result
+        word = tuple(num for num, _fr in key.payload)
+        for image_key, count in _expansion(u.kind, word, dict(key.payload)).items():
+            terms.append((image_key, coeff * count))
+    return ModuleElement(image_kind, terms)
 
 
 def psi_summands(d: FramedChordDiagram):
@@ -101,7 +120,7 @@ def psi(d: FramedChordDiagram) -> ModuleElement:
     The free loop maps to the chordless double diagram with coefficient 1
     (the empty product has one factor).
     """
-    return _expansion("framed", d)
+    return _psi("framed", d)
 
 
 def psi_module(u: ModuleElement) -> ModuleElement:
@@ -122,7 +141,7 @@ def psi_l_summands(g: FramedLinearDiagram):
 
 def psi_l(g: FramedLinearDiagram) -> ModuleElement:
     """The parity expansion of one framed linear diagram."""
-    return _expansion("linear", g)
+    return _psi("linear", g)
 
 
 def psi_l_module(u: ModuleElement) -> ModuleElement:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .algebra import ModuleElement, generate_2T_pairs, generate_4T, quotient_equal
 from .diagrams import enumerate_diagrams, from_key
-from .parity import parity_module, psi_l, psi_module
+from .parity import _image_kind, parity_module, psi_l, psi_module
 from .sums import connected_sum_dlinear, connected_sum_linear
 from .surgery import beta, weight
 
@@ -53,6 +53,7 @@ def two_term_beta(kind: str, n: int) -> SweepResult:
 def psi_weight_kill(kind: str, n: int) -> SweepResult:
     """The weight of the parity image vanishes on every 4T generator
     (framed or linear kind).  Cheaper necessary half of the span check."""
+    _image_kind(kind)
     failures = []
     gens = generate_4T(kind, n)
     for gen in gens:
@@ -65,6 +66,7 @@ def psi_weight_kill(kind: str, n: int) -> SweepResult:
 def psi_relation_span(kind: str, n: int) -> SweepResult:
     """The parity image of every 4T generator lies in the integer span of
     the image kind's 4T generators (exact Diophantine membership)."""
+    _image_kind(kind)
     failures = []
     gens = generate_4T(kind, n)
     for gen in gens:

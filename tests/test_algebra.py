@@ -10,6 +10,7 @@ from chordcalc.algebra import (
     ModuleElement,
     UndecidedError,
     _in_span,
+    _integer_lattice,
     combine,
     generate_2T_pairs,
     generate_4T,
@@ -21,6 +22,7 @@ from chordcalc.diagrams import (
     enumerate_diagrams,
     from_key,
 )
+from chordcalc.intlinalg import IntMatrix, hnf
 from chordcalc.parity import psi_module
 from chordcalc.surgery import beta, weight
 
@@ -314,6 +316,30 @@ def test_rational_quotient_matches_fraction_oracle(kind, n):
         assert quotient_equal(vec, zero, rational=True) == expected
         if quotient_equal(vec, zero):
             assert expected
+
+
+@pytest.mark.parametrize(
+    "kind, n",
+    [(kind, n) for kind in ("framed", "double", "linear", "dlinear") for n in range(4)]
+    + [("framed", 4), ("double", 4)],
+)
+def test_integer_lattice_is_the_hnf_of_the_generators(kind, n):
+    # the lattice build skips the transform; its basis must be the nonzero
+    # rows of the full hnf of the same generator matrix
+    index, hrows, pivots = _integer_lattice(kind, n)
+    rows = set()
+    for gen in generate_4T(kind, n, include_zero=False):
+        row = [0] * len(index)
+        for key, coeff in gen.element.items():
+            row[index[key]] = coeff
+        rows.add(tuple(row))
+    if not rows:
+        assert hrows == pivots == ()
+        return
+    h, _u = hnf(IntMatrix(sorted(rows), cols=len(index)))
+    nonzero = [tuple(row) for row in h.entries if any(row)]
+    assert list(hrows) == nonzero
+    assert list(pivots) == [next(j for j, x in enumerate(row) if x) for row in nonzero]
 
 
 def test_rational_membership_scales_past_a_pivot_above_one():

@@ -6,6 +6,7 @@ independent of the implementation.
 """
 
 import itertools
+import random
 
 import pytest
 
@@ -152,6 +153,70 @@ def test_double_keys_match_orbits():
             for v1, v2 in seen[:60]:
                 same = relabel_pair(v1, v2) in orbit
                 assert (DoubleChordDiagram(v1, v2).key() == k) == same
+
+
+def all_pairs_double_payload(w1, w2):
+    """The least relabelled pair over both circle orders and every pair of
+    rotations, chords numbered from 1: the definition of the double key."""
+
+    def rotations(w):
+        return [w[r:] + w[:r] for r in range(len(w))] if w else [()]
+
+    def number_pair(a, b):
+        seen = {}
+        return (
+            tuple(seen.setdefault(lab, len(seen) + 1) for lab in a),
+            tuple(seen.setdefault(lab, len(seen) + 1) for lab in b),
+        )
+
+    return min(
+        number_pair(ra, rb)
+        for a, b in ((tuple(w1), tuple(w2)), (tuple(w2), tuple(w1)))
+        for ra in rotations(a)
+        for rb in rotations(b)
+    )
+
+
+def scrambled(w1, w2, rng):
+    """A random relabelling, rotation of each circle and circle order."""
+    labels = sorted(set(w1) | set(w2))
+    names = rng.sample(range(100, 100 + 3 * len(labels) + 1), len(labels))
+    rename = dict(zip(labels, (f"c{x}" for x in names)))
+    words = []
+    for w in (w1, w2):
+        r = rng.randrange(len(w)) if w else 0
+        words.append(tuple(rename[lab] for lab in w[r:] + w[:r]))
+    if rng.random() < 0.5:
+        words.reverse()
+    return words
+
+
+TIE_HEAVY_DOUBLES = [
+    ("1 2 1 2", "3 4 3 4"),
+    ("A B", "A B"),
+    ("A B C A B C", "D E F D E F"),
+    ("A B C D", "A B C D"),
+    ("A B C D", "D C B A"),
+    ("A A B B", "C C D D"),
+    ("A B A B C D C D", ""),
+    ("", "A B C A B C"),
+    ("A A", ""),
+    ("", ""),
+    ("A B", "B A"),
+    ("A B C", "C A B"),
+]
+
+
+def test_double_key_matches_all_pairs_oracle():
+    rng = random.Random(1980)
+    cases = [(tuple(a.split()), tuple(b.split())) for a, b in TIE_HEAVY_DOUBLES]
+    for n in range(6):
+        cases += [key.payload for key in enumerate_diagrams("double", n)]
+    for w1, w2 in cases:
+        expected = all_pairs_double_payload(w1, w2)
+        for _ in range(3):
+            v1, v2 = scrambled(w1, w2, rng)
+            assert DoubleChordDiagram(v1, v2).key().payload == expected
 
 
 # --- linear canonicalization -------------------------------------------------

@@ -112,6 +112,7 @@ def test_hnf_properties_random():
         assert matmul(u.entries, a.entries) == h.entries
         assert abs(fraction_det(u.entries)) == 1
         assert is_hnf_shape(h)
+        assert hnf(a, transform=False) == (h, None)
 
 
 def test_hnf_derived_example():

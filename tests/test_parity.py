@@ -12,6 +12,7 @@ from chordcalc.diagrams import (
     from_key,
 )
 from chordcalc.parity import (
+    parity_module,
     psi,
     psi_l,
     psi_l_module,
@@ -20,6 +21,7 @@ from chordcalc.parity import (
     psi_summands,
 )
 from chordcalc.surgery import weight
+from chordcalc.verify import psi_relation_span, psi_weight_kill
 
 
 def fcd(word, framing):
@@ -52,6 +54,24 @@ def test_psi_summand_count_and_mass():
             summands = list(psi_summands(d))
             assert len(summands) == 2**n
             assert psi(d).mass() == 2**n
+
+
+@pytest.mark.parametrize(
+    "expand, summands, kind, max_n",
+    [(psi, psi_summands, "framed", 4), (psi_l, psi_l_summands, "linear", 3)],
+)
+def test_expansion_matches_the_summand_diagrams(expand, summands, kind, max_n):
+    # psi and parity_module canonicalize the split words directly; the
+    # public summands are validated diagram objects with their own keys
+    for n in range(max_n + 1):
+        for key in enumerate_diagrams(kind, n):
+            d = from_key(key)
+            image = expand(d)
+            counted = {}
+            for _sides, summand in summands(d):
+                counted[summand.key()] = counted.get(summand.key(), 0) + 1
+            assert image == ModuleElement(image.kind, counted)
+            assert parity_module(ModuleElement.single(key, -2)) == -2 * image
 
 
 def test_psi_summand_sides_respect_framings():
@@ -141,3 +161,13 @@ def test_psi_l_kills_relations_small():
         image = psi_l_module(gen.element)
         assert weight(image) == 0
         assert quotient_equal(image, zero)
+
+
+@pytest.mark.parametrize("sweep", [psi_weight_kill, psi_relation_span])
+@pytest.mark.parametrize("kind", ["double", "dlinear"])
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_parity_sweeps_refuse_two_component_kinds(sweep, kind, n):
+    # below two chords there are no generators to expand, which must not
+    # turn a kind the parity map does not expand into a passing sweep
+    with pytest.raises(ValueError, match="framed or linear"):
+        sweep(kind, n)
