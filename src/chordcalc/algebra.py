@@ -31,16 +31,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .diagrams import (
-    KINDS,
-    CanonicalKey,
-    DoubleChordDiagram,
-    DoubleLinearDiagram,
-    FramedChordDiagram,
-    FramedLinearDiagram,
-    enumerate_diagrams,
-    from_key,
-)
+from .diagrams import KINDS, _CANONICALIZERS, CanonicalKey, enumerate_diagrams
 from .intlinalg import IntMatrix, _pivot_columns, hnf
 
 #: Largest degree at which quotient equality is decided by default.  Above
@@ -202,25 +193,21 @@ class RelationGenerator:
     slide_pairs: tuple
 
 
-_DIAGRAM_CLASS = {
-    "framed": FramedChordDiagram,
-    "double": DoubleChordDiagram,
-    "linear": FramedLinearDiagram,
-    "dlinear": DoubleLinearDiagram,
-}
-
-
 def _words_of(key):
-    d = from_key(key)
+    """The words of a canonical key as lists of chord numbers, and its
+    framing (``None`` for the two-word kinds)."""
     if key.kind in ("framed", "linear"):
-        return [list(d.word)], dict(d.framing)
-    return [list(d.word1), list(d.word2)], None
+        return [[num for num, _fr in key.payload]], dict(key.payload)
+    return [list(key.payload[0]), list(key.payload[1])], None
 
 
 def _key_of(kind, words, framing):
-    if kind in ("framed", "linear"):
-        return _DIAGRAM_CLASS[kind](words[0], framing).key()
-    return _DIAGRAM_CLASS[kind](words[0], words[1]).key()
+    """Canonical key of words built from a key's own words, which need no
+    validation."""
+    canon = _CANONICALIZERS[kind]
+    if framing is not None:
+        return canon(tuple((lab, framing[lab]) for lab in words[0]))
+    return canon(tuple(words[0]), tuple(words[1]))
 
 
 def _moves(kind, base):
@@ -282,11 +269,8 @@ def _all_generators(kind, n):
     generators = []
     seen = set()
     for base in enumerate_diagrams(kind, n):
-        numbering = {}
-        words, _ = _words_of(base)
-        for word in words:
-            for lab in word:
-                numbering.setdefault(lab, len(numbering) + 1)
+        # a canonical key numbers its chords by first occurrence, so the
+        # labels of its words are already the chord numbers
         for a, occ, b, placements, signs, pairs in _moves(kind, base):
             signature = tuple(sorted(zip(placements, signs)))
             if signature in seen:
@@ -296,9 +280,9 @@ def _all_generators(kind, n):
                 RelationGenerator(
                     element=ModuleElement(kind, zip(placements, signs)),
                     base=base,
-                    moving_chord=numbering[a],
+                    moving_chord=a,
                     occurrence=occ,
-                    target_chord=numbering[b],
+                    target_chord=b,
                     placements=placements,
                     signs=signs,
                     slide_pairs=pairs,

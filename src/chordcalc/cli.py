@@ -82,10 +82,11 @@ def parse(text: str):
         raise ParseError("empty input", offset + 1)
     if stripped[0] == "-" or stripped[0].isdigit():
         return _parse_element(text)
-    return _parse_diagram(text, 0)
+    return _parse_diagram(text, 0).canonical()
 
 
 def _parse_diagram(text, offset):
+    """The validated diagram as written, not yet canonicalized."""
     m = re.match(r"\s*(dlcd|dcd|lcd|cd):", text)
     if not m:
         col = offset + len(text) - len(text.lstrip()) + 1
@@ -101,7 +102,7 @@ def _parse_diagram(text, offset):
             )
         word, framing = _parse_framed_word(body, body_offset)
         cls = FramedChordDiagram if kind == "framed" else FramedLinearDiagram
-        return cls(word, framing).canonical()
+        return cls(word, framing)
     bar = body.find("|")
     if bar < 0:
         raise ParseError(f"a {prefix} diagram needs one '|'", body_offset + len(body) + 1)
@@ -112,7 +113,7 @@ def _parse_diagram(text, offset):
     word2 = _parse_bare_word(body[bar + 1 :], body_offset + bar + 1)
     _check_counts(word1 + word2, body_offset + len(body))
     cls = DoubleChordDiagram if kind == "double" else DoubleLinearDiagram
-    return cls(word1, word2).canonical()
+    return cls(word1, word2)
 
 
 def _parse_framed_word(body, offset):

@@ -261,6 +261,17 @@ def _canon_dlinear(w1, w2) -> CanonicalKey:
     return CanonicalKey("dlinear", _relabel_pair(w1, w2))
 
 
+#: The canonicalizer of each kind: it takes a ``(label, framing)`` token word
+#: (one-word kinds) or two label words (two-word kinds) and trusts them to be
+#: a valid diagram.
+_CANONICALIZERS = {
+    "framed": _canon_framed,
+    "double": _canon_double,
+    "linear": _canon_linear,
+    "dlinear": _canon_dlinear,
+}
+
+
 def canonicalize_framed(d: FramedChordDiagram) -> CanonicalKey:
     """Lexicographic minimum over all rotations of the relabelled cyclic word."""
     return d.key()
@@ -340,8 +351,8 @@ def enumerate_diagrams(kind: str, n: int):
         raise ValueError("chord count must be nonnegative")
     positions = list(range(2 * n))
     keys = set()
+    canon = _CANONICALIZERS[kind]
     if kind in ("framed", "linear"):
-        canon = _canon_framed if kind == "framed" else _canon_linear
         for matching in _matchings(positions):
             chord_of = {}
             for ci, (p, q) in enumerate(matching):
@@ -350,7 +361,6 @@ def enumerate_diagrams(kind: str, n: int):
                 tokens = tuple((chord_of[p], framings[chord_of[p]]) for p in positions)
                 keys.add(canon(tokens))
     else:
-        canon = _canon_double if kind == "double" else _canon_dlinear
         for split in range(2 * n + 1):
             for matching in _matchings(positions):
                 chord_of = {}
@@ -392,15 +402,16 @@ def coproduct(d: FramedChordDiagram) -> dict:
     """
     if not isinstance(d, FramedChordDiagram):
         raise TypeError(f"expected FramedChordDiagram, got {type(d).__name__}")
-    chords = []
-    for lab in d.word:
-        if lab not in chords:
-            chords.append(lab)
+    chords = tuple(dict.fromkeys(d.word))
+    tokens = d.tokens()
     result = {}
     for picks in itertools.product((True, False), repeat=len(chords)):
         left = {lab for lab, taken in zip(chords, picks) if taken}
-        right = {lab for lab in chords if lab not in left}
-        pair = (restrict(d, left).key(), restrict(d, right).key())
+        # the tokens of ``restrict(d, left)`` and of its complement
+        pair = (
+            _canon_framed(tuple(t for t in tokens if t[0] in left)),
+            _canon_framed(tuple(t for t in tokens if t[0] not in left)),
+        )
         result[pair] = result.get(pair, 0) + 1
     return result
 

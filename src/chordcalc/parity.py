@@ -18,17 +18,15 @@ from .diagrams import (
     DoubleLinearDiagram,
     FramedChordDiagram,
     FramedLinearDiagram,
-    _canon_double,
-    _canon_dlinear,
+    _CANONICALIZERS,
     reverse_word,
 )
 
 #: The parity map of each framed kind: the diagram class it expands, the
-#: image kind, the image diagram class (two circles or two lines) and the
-#: canonicalizer of the image kind's words.
+#: image kind and the image diagram class (two circles or two lines).
 _PARITY = {
-    "framed": (FramedChordDiagram, "double", DoubleChordDiagram, _canon_double),
-    "linear": (FramedLinearDiagram, "dlinear", DoubleLinearDiagram, _canon_dlinear),
+    "framed": (FramedChordDiagram, "double", DoubleChordDiagram),
+    "linear": (FramedLinearDiagram, "dlinear", DoubleLinearDiagram),
 }
 
 
@@ -68,7 +66,7 @@ def _expansion(kind, word, framing):
     The words come from a validated diagram or a canonical key, so every
     summand is canonicalized directly, without building a diagram object.
     """
-    canon = _PARITY[kind][3]
+    canon = _CANONICALIZERS[_PARITY[kind][1]]
     terms = {}
     for _first_side, w1, w2 in _split_summands(word, framing):
         key = canon(w1, w2)

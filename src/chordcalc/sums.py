@@ -18,11 +18,12 @@ from .diagrams import (
     DoubleLinearDiagram,
     FramedChordDiagram,
     FramedLinearDiagram,
+    _canon_framed,
     enumerate_diagrams,
     from_key,
 )
-from .parity import psi
-from .surgery import weight
+from .parity import _expansion, psi
+from .surgery import _beta_of_key
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,6 +71,18 @@ def _tagged(diagram, tag):
     return word, framing
 
 
+def _sum_key(tokens1, a1, tokens2, a2) -> CanonicalKey:
+    """Key of the framed connected sum of two ``(label, framing)`` token
+    words cut at arcs ``a1`` and ``a2`` (already checked): each word is
+    rotated to start after its cut, the labels are tagged by operand and
+    the two lines are concatenated."""
+    left = tokens1[a1 + 1 :] + tokens1[: a1 + 1]
+    right = tokens2[a2 + 1 :] + tokens2[: a2 + 1]
+    return _canon_framed(
+        tuple(((0, lab), fr) for lab, fr in left) + tuple(((1, lab), fr) for lab, fr in right)
+    )
+
+
 def connected_sum_framed(d1, c1, d2, c2) -> FramedChordDiagram:
     """Glue two framed chord diagrams at the chosen cut arcs.
 
@@ -80,11 +93,7 @@ def connected_sum_framed(d1, c1, d2, c2) -> FramedChordDiagram:
     """
     a1 = _arc_of(c1, d1)
     a2 = _arc_of(c2, d2)
-    left = cut_open(d1, a1)
-    right = cut_open(d2, a2)
-    w1, f1 = _tagged(left, 0)
-    w2, f2 = _tagged(right, 1)
-    return FramedChordDiagram(w1 + w2, {**f1, **f2}).canonical()
+    return from_key(_sum_key(d1.tokens(), a1, d2.tokens(), a2))
 
 
 def connected_sum_linear(g1, g2) -> FramedLinearDiagram:
@@ -121,6 +130,13 @@ class SumWitness:
     w_values: tuple
 
 
+def _parity_weight(key):
+    """``weight(psi(from_key(key)))`` for a framed key, from its words."""
+    word = tuple(num for num, _fr in key.payload)
+    expansion = _expansion("framed", word, dict(key.payload))
+    return sum(count * _beta_of_key(image) for image, count in expansion.items())
+
+
 def search_counterexample(max_chords: int):
     """All diagram pairs (total chords <= ``max_chords``) whose connected
     sums disagree under the weight of the parity expansion.
@@ -136,18 +152,20 @@ def search_counterexample(max_chords: int):
     if max_chords < 0:
         raise ValueError("max_chords must be nonnegative")
     witnesses = []
+    weights = {}  # sum key -> weight of its parity expansion
     for total in range(max_chords + 1):
         for n1 in range(total + 1):
             n2 = total - n1
             for k1 in enumerate_diagrams("framed", n1):
-                d1 = from_key(k1)
                 for k2 in enumerate_diagrams("framed", n2):
-                    d2 = from_key(k2)
                     outcomes = []
                     for a1 in range(max(2 * n1, 1)):
                         for a2 in range(max(2 * n2, 1)):
-                            s = connected_sum_framed(d1, a1, d2, a2)
-                            outcomes.append(((a1, a2), s.key(), weight(psi(s))))
+                            key = _sum_key(k1.payload, a1, k2.payload, a2)
+                            w = weights.get(key)
+                            if w is None:
+                                w = weights[key] = _parity_weight(key)
+                            outcomes.append(((a1, a2), key, w))
                     values = sorted({w for _, _, w in outcomes})
                     if len(values) < 2:
                         continue

@@ -25,7 +25,6 @@ from .diagrams import (
     DoubleChordDiagram,
     DoubleLinearDiagram,
     FramedChordDiagram,
-    from_key,
 )
 
 
@@ -138,13 +137,62 @@ def smoothing_graph(d) -> SmoothingGraph:
     raise TypeError(f"expected a double or dlinear diagram, got {type(d).__name__}")
 
 
+def _walk_count(words, cyclic):
+    """Surgery component count of chords on two circles (or two lines), all
+    smoothed coherently, by walking the pairing instead of building it.
+
+    From ``out(p)`` the arc leads to ``in(next(p))`` and that node's chord
+    gluing to ``out(partner(next(p)))``, so the walk steps from endpoint
+    ``p`` to ``partner(next(p))``.  On circles every node lies in one arc
+    and one chord gluing, so the components are the cycles of that step.  A
+    nonempty line adds one chain, which enters at its free end
+    ``in(first)``, reaches ``out(partner(first))`` by the chord and stops at
+    an endpoint with no next one; the chains are walked before the cycles.
+    Chordless circles and lines count one each.
+    """
+    partner, following, chains = [], [], []
+    unmatched = {}
+    free_loops = 0
+    for word in words:
+        m = len(word)
+        if not m:
+            free_loops += 1
+            continue
+        offset = len(partner)
+        for p, lab in enumerate(word):
+            q = unmatched.pop(lab, None)
+            if q is None:
+                unmatched[lab] = offset + p
+            else:
+                partner[q] = offset + p
+            partner.append(q)
+            following.append(offset + (p + 1) % m if cyclic or p + 1 < m else None)
+        if not cyclic:
+            chains.append(offset)
+    step = [None if f is None else partner[f] for f in following]
+    visited = [False] * len(partner)
+    count = free_loops
+    for p in [partner[first] for first in chains] + list(range(len(partner))):
+        if not visited[p]:
+            count += 1
+            while p is not None and not visited[p]:
+                visited[p] = True
+                p = step[p]
+    return count
+
+
 def beta(d) -> int:
     """Number of connected components after surgery on all chords.
 
     Non-compact components of a double linear diagram count once each, like
     any other component; chordless circles and lines contribute one apiece.
+    The count equals ``smoothing_graph(d).component_count()``.
     """
-    return smoothing_graph(d).component_count()
+    if isinstance(d, DoubleChordDiagram):
+        return _walk_count((d.word1, d.word2), True)
+    if isinstance(d, DoubleLinearDiagram):
+        return _walk_count((d.word1, d.word2), False)
+    raise TypeError(f"expected a double or dlinear diagram, got {type(d).__name__}")
 
 
 def beta_framed(d: FramedChordDiagram) -> int:
@@ -166,7 +214,8 @@ def beta_framed(d: FramedChordDiagram) -> int:
 
 @lru_cache(maxsize=None)
 def _beta_of_key(key):
-    return beta(from_key(key))
+    """``beta`` of the diagram a double or dlinear key stands for."""
+    return _walk_count(key.payload, key.kind == "double")
 
 
 def weight(u: ModuleElement) -> int:

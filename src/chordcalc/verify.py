@@ -14,7 +14,7 @@ from .algebra import ModuleElement, generate_2T_pairs, generate_4T, quotient_equ
 from .diagrams import enumerate_diagrams, from_key
 from .parity import _image_kind, parity_module, psi_l, psi_module
 from .sums import connected_sum_dlinear, connected_sum_linear
-from .surgery import beta, weight
+from .surgery import _beta_of_key, beta, weight
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,7 @@ def two_term_beta(kind: str, n: int) -> SweepResult:
     failures = []
     pairs = generate_2T_pairs(kind, n)
     for p, q in pairs:
-        bp, bq = beta(from_key(p)), beta(from_key(q))
+        bp, bq = _beta_of_key(p), _beta_of_key(q)
         if bp != bq:
             failures.append((p, q, bp, bq))
     return SweepResult(f"2T beta {kind} n={n}", len(pairs), tuple(failures))

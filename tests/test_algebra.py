@@ -8,6 +8,7 @@ import pytest
 from chordcalc.algebra import (
     KindMismatchError,
     ModuleElement,
+    RelationGenerator,
     UndecidedError,
     _in_span,
     _integer_lattice,
@@ -176,6 +177,67 @@ def test_flip_generators_carry_both_framings_of_the_mover():
             assert framings == {0, 1} or all(
                 fr == 1 for key in gen.placements for _num, fr in key.payload
             )
+
+
+def oracle_moves(kind, base):
+    """Every slide datum of a base key, rebuilt from ``from_key``'s spelled
+    diagram through the public constructors; chords are numbered by first
+    occurrence, as the key numbers them."""
+    d = from_key(base)
+    framed = kind in ("framed", "linear")
+    words = [list(d.word)] if framed else [list(d.word1), list(d.word2)]
+    labels = list(dict.fromkeys(lab for word in words for lab in word))
+    for a in labels:
+        ends = [(wi, p) for wi, word in enumerate(words) for p, lab in enumerate(word) if lab == a]
+        for occ, (xwi, xp) in enumerate(ends):
+            for b in labels:
+                if b == a:
+                    continue
+                stripped = [list(word) for word in words]
+                del stripped[xwi][xp]
+                (w1, p1), (w2, p2) = [
+                    (wi, p) for wi, word in enumerate(stripped) for p, lab in enumerate(word)
+                    if lab == b
+                ]
+                flip = framed and d.framing[b] == 1
+                placements = []
+                slots = ((w1, p1), (w1, p1 + 1), (w2, p2), (w2, p2 + 1))
+                for si, (wi, slot) in enumerate(slots):
+                    ws = [list(word) for word in stripped]
+                    ws[wi].insert(slot, a)
+                    if framed:
+                        framing = dict(d.framing)
+                        if flip and si >= 2:
+                            framing[a] ^= 1
+                        placements.append(type(d)(ws[0], framing).key())
+                    else:
+                        placements.append(type(d)(ws[0], ws[1]).key())
+                signs = (1, -1, -1, 1) if flip else (1, -1, 1, -1)
+                pairing = ((0, 2), (1, 3)) if flip else ((0, 3), (1, 2))
+                pairs = tuple(tuple(sorted((placements[i], placements[j]))) for i, j in pairing)
+                yield labels.index(a) + 1, occ, labels.index(b) + 1, tuple(placements), signs, pairs
+
+
+@pytest.mark.parametrize(
+    "kind, n",
+    [(kind, n) for kind in ("framed", "double", "linear", "dlinear") for n in range(4)]
+    + [("framed", 4), ("double", 4)],
+)
+def test_generators_match_the_public_constructor_oracle(kind, n):
+    expected, seen, pairs = [], set(), set()
+    for base in enumerate_diagrams(kind, n):
+        for a, occ, b, placements, signs, slide_pairs in oracle_moves(kind, base):
+            pairs.update(slide_pairs)
+            signature = tuple(sorted(zip(placements, signs)))
+            if signature not in seen:
+                seen.add(signature)
+                element = ModuleElement(kind, zip(placements, signs))
+                expected.append(
+                    RelationGenerator(element, base, a, occ, b, placements, signs, slide_pairs)
+                )
+    assert generate_4T(kind, n) == tuple(expected)
+    if kind in ("double", "dlinear"):
+        assert generate_2T_pairs(kind, n) == tuple(sorted(pairs))
 
 
 # --- 2T pairs ---------------------------------------------------------------------

@@ -1,12 +1,18 @@
-"""Property tests: canonical keys are invariant under the isomorphisms of
-each kind, on random diagrams beyond the exhaustively enumerated degrees."""
+"""Property tests on random diagrams beyond the exhaustively enumerated
+degrees: canonical keys are invariant under the isomorphisms of each kind,
+and the surgery walk counts what the smoothing graph counts."""
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from chordcalc.diagrams import DoubleChordDiagram, FramedChordDiagram  # noqa: E402
+from chordcalc.diagrams import (  # noqa: E402
+    DoubleChordDiagram,
+    DoubleLinearDiagram,
+    FramedChordDiagram,
+)
+from chordcalc.surgery import _beta_of_key, beta, smoothing_graph  # noqa: E402
 
 MAX_CHORDS = 8
 SETTINGS = hypothesis.settings(max_examples=300, deadline=None)
@@ -67,3 +73,16 @@ def test_framed_key_invariant_under_rotation_and_relabel(diagram, r, rng):
         tuple(rename[c] for c in rotate(word, r)), {rename[c]: fr for c, fr in framing.items()}
     )
     assert other.key() == FramedChordDiagram(word, framing).key()
+
+
+@SETTINGS
+@hypothesis.given(double_diagrams(), st.booleans())
+def test_walk_counts_the_smoothing_graph_components(words, lines):
+    # the split puts either word's share anywhere from nothing to every
+    # endpoint, so empty circles and lines and chords joining the two words
+    # are all drawn
+    cls = DoubleLinearDiagram if lines else DoubleChordDiagram
+    d = cls(*words)
+    expected = smoothing_graph(d).component_count()
+    assert beta(d) == expected
+    assert _beta_of_key(d.key()) == expected

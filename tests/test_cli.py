@@ -1,5 +1,6 @@
 """The text grammar, command dispatch, exit codes, and output determinism."""
 
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +17,7 @@ from chordcalc.cli import (
 )
 from chordcalc.diagrams import (
     DoubleChordDiagram,
+    DoubleLinearDiagram,
     FramedChordDiagram,
     FramedLinearDiagram,
     enumerate_diagrams,
@@ -63,6 +65,46 @@ def test_parse_is_whitespace_insensitive():
     assert format_element(parse("3[cd: A1 A1]+-1[cd:A0 A0]")) == format_element(
         parse("3 [cd: A1 A1] + -1 [cd: A0 A0]")
     )
+
+
+PUBLIC_CLASS = {
+    "cd": FramedChordDiagram,
+    "lcd": FramedLinearDiagram,
+    "dcd": DoubleChordDiagram,
+    "dlcd": DoubleLinearDiagram,
+}
+
+
+def random_diagram_text(rng, prefix):
+    """A random diagram text and the public diagram it spells."""
+    labels = rng.sample(["A", "B", "Cx", "D2", "e", "Fq9", "G"], rng.randint(0, 4))
+    word = labels * 2
+    rng.shuffle(word)
+    cls = PUBLIC_CLASS[prefix]
+    if prefix in ("cd", "lcd"):
+        framing = {lab: rng.randint(0, 1) for lab in labels}
+        tokens = [f"{lab}{framing[lab]}" for lab in word]
+        return " ".join([prefix + ":"] + tokens), cls(word, framing)
+    split = rng.randint(0, len(word))
+    text = " ".join([prefix + ":"] + word[:split] + ["|"] + word[split:])
+    return text, cls(word[:split], word[split:])
+
+
+def test_parse_matches_term_by_term_construction():
+    rng = random.Random(5)
+    for _ in range(300):
+        prefix = rng.choice(sorted(PUBLIC_CLASS))
+        terms = [
+            (rng.randint(-3, 3),) + random_diagram_text(rng, prefix)
+            for _ in range(rng.randint(1, 4))
+        ]
+        text = " + ".join(f"{coeff} [{body}]" for coeff, body, _ in terms)
+        expected = ModuleElement(terms[0][2].kind, [(d.key(), c) for c, _, d in terms])
+        assert parse(text) == expected, text
+        _, body, d = terms[0]
+        parsed = parse(body)
+        assert type(parsed) is type(d)
+        assert repr(parsed) == repr(d.canonical()), body
 
 
 def test_parse_error_columns():

@@ -9,9 +9,10 @@ from chordcalc.diagrams import (
     enumerate_diagrams,
     from_key,
 )
-from chordcalc.parity import psi_l
+from chordcalc.parity import psi, psi_l
 from chordcalc.sums import (
     CutPoint,
+    SumWitness,
     connected_sum_dlinear,
     connected_sum_framed,
     connected_sum_linear,
@@ -19,7 +20,7 @@ from chordcalc.sums import (
     search_counterexample,
     witness_quotient_split,
 )
-from chordcalc.surgery import beta
+from chordcalc.surgery import beta, weight
 
 
 def fcd(word, framing):
@@ -210,6 +211,46 @@ def test_witnesses_at_three_chords():
     assert from_key(first.d1).word == ("A", "A")
     assert from_key(first.d1).framing == {"A": 1}
     assert from_key(first.d2).framing == {"A": 0, "B": 1}
+
+
+def oracle_search(max_chords):
+    """The search run on public objects: every sum is glued from the
+    ``cut_open`` lines, checked against ``connected_sum_framed`` and weighed
+    by ``weight(psi(...))``, with no memo."""
+    witnesses = []
+    for total in range(max_chords + 1):
+        for n1 in range(total + 1):
+            for k1 in enumerate_diagrams("framed", n1):
+                d1 = from_key(k1)
+                for k2 in enumerate_diagrams("framed", total - n1):
+                    d2 = from_key(k2)
+                    outcomes = []
+                    for a1 in range(max(2 * d1.n, 1)):
+                        for a2 in range(max(2 * d2.n, 1)):
+                            lines = enumerate((cut_open(d1, a1), cut_open(d2, a2)))
+                            tagged = [
+                                ((i, lab), g.framing[lab]) for i, g in lines for lab in g.word
+                            ]
+                            glued = FramedChordDiagram([t for t, _ in tagged], dict(tagged))
+                            s = connected_sum_framed(d1, a1, d2, a2)
+                            assert s.key() == glued.key()
+                            outcomes.append(((a1, a2), s.key(), weight(psi(s))))
+                    values = tuple(sorted({w for _, _, w in outcomes}))
+                    if len(values) > 1:
+                        cuts_a, sum_a, w_a = outcomes[0]
+                        cuts_b, sum_b, w_b = next(o for o in outcomes if o[2] != w_a)
+                        witnesses.append(
+                            SumWitness(k1, k2, cuts_a, cuts_b, sum_a, sum_b, w_a, w_b, values)
+                        )
+    return tuple(witnesses)
+
+
+@pytest.mark.parametrize("max_chords", [3, 4])
+def test_search_matches_the_public_object_oracle(max_chords):
+    expected = oracle_search(max_chords)
+    witnesses = search_counterexample(max_chords)
+    assert witnesses == expected
+    assert repr(witnesses) == repr(expected)
 
 
 def test_witness_quotient_split():

@@ -15,7 +15,7 @@ from chordcalc.diagrams import (
     enumerate_diagrams,
     from_key,
 )
-from chordcalc.surgery import beta, beta_framed, smoothing_graph, weight
+from chordcalc.surgery import _beta_of_key, beta, beta_framed, smoothing_graph, weight
 
 
 def dcd(w1, w2):
@@ -161,6 +161,18 @@ def test_beta_disjoint_pieces_add():
         for v in words[:3]:
             relabeled = " ".join(lab.lower() for lab in v.split())
             assert beta(dcd(u, relabeled)) == beta(dcd(u, "")) + beta(dcd(relabeled, "")) - 2
+
+
+@pytest.mark.parametrize("kind, max_n", [("double", 5), ("dlinear", 4)])
+def test_walk_matches_the_smoothing_graph_on_every_key(kind, max_n):
+    # the union-find over the built pairing is the oracle of the walk that
+    # beta and the weight run on diagram words and on key payloads
+    for n in range(max_n + 1):
+        for key in enumerate_diagrams(kind, n):
+            d = from_key(key)
+            expected = smoothing_graph(d).component_count()
+            assert _beta_of_key(key) == expected, key
+            assert beta(d) == expected, key
 
 
 def test_beta_2t_invariance_small():
