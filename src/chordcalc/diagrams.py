@@ -402,16 +402,15 @@ def coproduct(d: FramedChordDiagram) -> dict:
     """
     if not isinstance(d, FramedChordDiagram):
         raise TypeError(f"expected FramedChordDiagram, got {type(d).__name__}")
-    chords = tuple(dict.fromkeys(d.word))
-    tokens = d.tokens()
+    chords = []
+    for lab in d.word:
+        if lab not in chords:
+            chords.append(lab)
     result = {}
     for picks in itertools.product((True, False), repeat=len(chords)):
         left = {lab for lab, taken in zip(chords, picks) if taken}
-        # the tokens of ``restrict(d, left)`` and of its complement
-        pair = (
-            _canon_framed(tuple(t for t in tokens if t[0] in left)),
-            _canon_framed(tuple(t for t in tokens if t[0] not in left)),
-        )
+        right = {lab for lab in chords if lab not in left}
+        pair = (restrict(d, left).key(), restrict(d, right).key())
         result[pair] = result.get(pair, 0) + 1
     return result
 

@@ -22,8 +22,8 @@ from .diagrams import (
     enumerate_diagrams,
     from_key,
 )
-from .parity import _expansion, psi
-from .surgery import _beta_of_key
+from .parity import psi
+from .surgery import weight
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,13 +130,6 @@ class SumWitness:
     w_values: tuple
 
 
-def _parity_weight(key):
-    """``weight(psi(from_key(key)))`` for a framed key, from its words."""
-    word = tuple(num for num, _fr in key.payload)
-    expansion = _expansion("framed", word, dict(key.payload))
-    return sum(count * _beta_of_key(image) for image, count in expansion.items())
-
-
 def search_counterexample(max_chords: int):
     """All diagram pairs (total chords <= ``max_chords``) whose connected
     sums disagree under the weight of the parity expansion.
@@ -164,7 +157,7 @@ def search_counterexample(max_chords: int):
                             key = _sum_key(k1.payload, a1, k2.payload, a2)
                             w = weights.get(key)
                             if w is None:
-                                w = weights[key] = _parity_weight(key)
+                                w = weights[key] = weight(psi(from_key(key)))
                             outcomes.append(((a1, a2), key, w))
                     values = sorted({w for _, _, w in outcomes})
                     if len(values) < 2:

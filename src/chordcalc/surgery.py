@@ -25,6 +25,8 @@ from .diagrams import (
     DoubleChordDiagram,
     DoubleLinearDiagram,
     FramedChordDiagram,
+    InvalidDiagramError,
+    _occurrence_counts,
 )
 
 
@@ -214,7 +216,17 @@ def beta_framed(d: FramedChordDiagram) -> int:
 
 @lru_cache(maxsize=None)
 def _beta_of_key(key):
-    """``beta`` of the diagram a double or dlinear key stands for."""
+    """``beta`` of the diagram a double or dlinear key stands for.
+
+    The payload is checked once per distinct key, as ``from_key`` would
+    check it: two words of positive chord numbers, each occurring exactly
+    twice.
+    """
+    if len(key.payload) != 2:
+        raise InvalidDiagramError(f"a {key.kind} key needs two words")
+    for lab in _occurrence_counts(key.payload):
+        if type(lab) is not int or lab < 1:
+            raise ValueError(f"labels are numbered from 1, got {lab!r}")
     return _walk_count(key.payload, key.kind == "double")
 
 

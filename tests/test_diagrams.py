@@ -435,19 +435,6 @@ def test_coproduct_coassociative():
         assert left == right
 
 
-def test_coproduct_is_the_sum_over_restrictions():
-    # the public restrict is the oracle of the coproduct's restricted tokens
-    for d in all_diagrams_up_to(3):
-        chords = sorted(set(d.word))
-        expected = {}
-        for size in range(len(chords) + 1):
-            for left in itertools.combinations(chords, size):
-                right = set(chords) - set(left)
-                pair = (restrict(d, left).key(), restrict(d, right).key())
-                expected[pair] = expected.get(pair, 0) + 1
-        assert coproduct(d) == expected
-
-
 def test_restrict():
     d = fcd("A B A C B C", {"A": 0, "B": 1, "C": 0})
     sub = restrict(d, {"B"})

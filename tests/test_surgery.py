@@ -9,9 +9,11 @@ import pytest
 
 from chordcalc.algebra import KindMismatchError, ModuleElement, generate_2T_pairs, generate_4T
 from chordcalc.diagrams import (
+    CanonicalKey,
     DoubleChordDiagram,
     DoubleLinearDiagram,
     FramedChordDiagram,
+    InvalidDiagramError,
     enumerate_diagrams,
     from_key,
 )
@@ -259,6 +261,22 @@ def test_weight_linear():
 def test_weight_kind_restricted():
     with pytest.raises(KindMismatchError):
         weight(ModuleElement.single(FramedChordDiagram(("A", "A"), {"A": 0}).key()))
+
+
+@pytest.mark.parametrize(
+    "payload, error",
+    [
+        (((1,), ()), InvalidDiagramError),
+        (((1, 1, 1), (2, 2)), InvalidDiagramError),
+        (((1, 2, 1),), InvalidDiagramError),
+        ((("A", "A"), ()), ValueError),
+        (((0, 0), ()), ValueError),
+    ],
+)
+def test_weight_refuses_a_malformed_key(payload, error):
+    for kind in ("double", "dlinear"):
+        with pytest.raises(error):
+            weight(ModuleElement(kind, [(CanonicalKey(kind, payload), 1)]))
 
 
 def test_weight_kills_4t_generators_small():
