@@ -218,10 +218,12 @@ def format_diagram(obj) -> str:
     key = obj if isinstance(obj, CanonicalKey) else obj.key()
     prefix = _KIND_TO_PREFIX[key.kind] + ":"
     if key.kind in ("framed", "linear"):
-        tokens = [f"{spell_label(num)}{fr}" for num, fr in key.payload]
+        names = {num: spell_label(num) for num, _ in set(key.payload)}
+        tokens = [f"{names[num]}{fr}" for num, fr in key.payload]
         return " ".join([prefix] + tokens) if tokens else prefix
-    side1 = [spell_label(num) for num in key.payload[0]]
-    side2 = [spell_label(num) for num in key.payload[1]]
+    names = {num: spell_label(num) for num in {*key.payload[0], *key.payload[1]}}
+    side1 = [names[num] for num in key.payload[0]]
+    side2 = [names[num] for num in key.payload[1]]
     return " ".join([prefix] + side1 + ["|"] + side2).rstrip()
 
 

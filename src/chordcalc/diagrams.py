@@ -309,7 +309,7 @@ def from_key(key: CanonicalKey):
     """Rebuild a diagram (with spelled labels A, B, C, ...) from its key."""
     if key.kind in ("framed", "linear"):
         word = tuple(spell_label(num) for num, _ in key.payload)
-        framing = {spell_label(num): fr for num, fr in key.payload}
+        framing = {label: fr for label, (_, fr) in zip(word, key.payload)}
         cls = FramedChordDiagram if key.kind == "framed" else FramedLinearDiagram
         return cls(word, framing)
     if key.kind in ("double", "dlinear"):

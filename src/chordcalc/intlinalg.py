@@ -1,8 +1,11 @@
 """Exact integer matrix algebra: Hermite normal form and Diophantine solving.
 
 Everything here runs on arbitrary-precision Python integers; no floating
-point is ever involved, so span-membership answers are exact.  Matrices are
-dense, which is plenty at the sizes the relation lattices reach.
+point is ever involved, so span-membership answers are exact.  ``IntMatrix``
+is dense.  The relation matrices the lattices are built from hold about four
+nonzeros per row in up to 1680 columns, so ``hnf`` without the transform
+eliminates on sparse rows; the dense elimination stays for ``hnf`` with the
+transform, which ``solve_diophantine`` and the tests use.
 """
 
 from __future__ import annotations
@@ -90,22 +93,22 @@ def hnf(a: IntMatrix, transform=True):
     integer row additions, so ``det U`` is +-1).  ``H`` is in row echelon
     form with positive pivots; every entry above a pivot is reduced into
     ``[0, pivot)``.  Zero rows sink to the bottom.  With ``transform=False``
-    the row operations are applied to ``H`` alone and ``U`` is ``None``;
-    ``H`` is the same.
+    ``U`` is ``None`` and ``H`` comes from a sparse incremental echelon
+    (:func:`_sparse_hnf`) instead of the dense elimination; it is the same
+    ``H``, because the Hermite normal form of a row lattice is unique.
     """
+    if not transform:
+        return _sparse_hnf(a), None
     h = [row[:] for row in a.entries]
     m, ncols = a.rows, a.cols
-    mats = [h]
-    if transform:
-        u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-        mats.append(u)
+    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
 
     def swap(i, j):
-        for x in mats:
+        for x in (h, u):
             x[i], x[j] = x[j], x[i]
 
     def subtract(i, q, j):  # row i -= q * row j
-        for x in mats:
+        for x in (h, u):
             x[i] = [s - q * t for s, t in zip(x[i], x[j])]
 
     r = 0
@@ -133,14 +136,88 @@ def hnf(a: IntMatrix, transform=True):
         if h[r][c] == 0:
             continue
         if h[r][c] < 0:
-            for x in mats:
+            for x in (h, u):
                 x[r] = [-s for s in x[r]]
         for j in range(r):
             q = h[j][c] // h[r][c]
             if q:
                 subtract(j, q, r)
         r += 1
-    return IntMatrix(h, cols=ncols), (IntMatrix(u, cols=m) if transform else None)
+    return IntMatrix(h, cols=ncols), IntMatrix(u, cols=m)
+
+
+def _xgcd(a, b):
+    """``(g, s, t)`` with ``g = gcd(a, b) = s*a + t*b`` and ``g > 0``."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return (a, s0, t0) if a > 0 else (-a, -s0, -t0)
+
+
+def _add_multiple(row, q, other):
+    """``row += q * other`` on sparse ``{column: nonzero}`` rows, in place."""
+    for c, x in other.items():
+        y = row.get(c, 0) + q * x
+        if y:
+            row[c] = y
+        else:
+            del row[c]
+
+
+def _sparse_hnf(a: IntMatrix) -> IntMatrix:
+    """The ``H`` of :func:`hnf` by a sparse incremental echelon.
+
+    Each row is a ``{column: nonzero}`` dict, inserted into a map from pivot
+    column to basis row.  A row whose leading column already has a basis row
+    is reduced by it when the pivot divides the entry; otherwise the two rows
+    are replaced by their 2x2 unimodular extended-gcd combination, whose first
+    row takes the pivot (the gcd) and whose second row, zero there, is
+    inserted further.  A row that reaches a free column becomes a basis row
+    with a positive pivot.  Back-reduction in increasing pivot order then
+    brings every entry above a pivot into ``[0, pivot)``.  The row operations
+    are unimodular, so the lattice is unchanged, and the insertion order is
+    free: rows go in by descending last nonzero column, which took the
+    linear n=4 relation matrix (4980 x 1680) from 6.6 s in row order to 2.5 s
+    (one run each, a 2-vCPU VM, Python 3.11).
+    """
+    rows = [{c: x for c, x in enumerate(row) if x} for row in a.entries]
+    basis = {}  # pivot column -> the basis row that starts there
+    for row in sorted(filter(None, rows), key=max, reverse=True):
+        while row:
+            c = min(row)
+            top = basis.get(c)
+            if top is None:
+                basis[c] = row if row[c] > 0 else {k: -x for k, x in row.items()}
+                break
+            q, rem = divmod(row[c], top[c])
+            if not rem:
+                _add_multiple(row, -q, top)
+                continue
+            g, s, t = _xgcd(top[c], row[c])
+            p, v = top[c] // g, row[c] // g
+            basis[c] = {k: s * x for k, x in top.items()} if s else {}
+            _add_multiple(basis[c], t, row)
+            other = {k: v * x for k, x in top.items()}
+            _add_multiple(other, -p, row)
+            row = other
+    order = sorted(basis)
+    for i, c in enumerate(order):
+        top = basis[c]
+        for j in order[:i]:
+            q = basis[j].get(c, 0) // top[c]
+            if q:
+                _add_multiple(basis[j], -q, top)
+    h = []
+    for c in order:
+        dense = [0] * a.cols
+        for k, x in basis[c].items():
+            dense[k] = x
+        h.append(dense)
+    h.extend([0] * a.cols for _ in range(a.rows - len(h)))
+    return IntMatrix(h, cols=a.cols)
 
 
 def det(a: IntMatrix) -> int:

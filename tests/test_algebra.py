@@ -358,7 +358,8 @@ def _q_span_oracle(elements):
 @pytest.mark.parametrize(
     "kind, n",
     [(kind, n) for kind in ("framed", "linear", "dlinear") for n in range(4)]
-    + [("double", n) for n in range(5)],
+    + [("double", n) for n in range(5)]
+    + [("dlinear", 4)],
 )
 def test_rational_quotient_matches_fraction_oracle(kind, n):
     gens = [g.element for g in generate_4T(kind, n)]
@@ -383,11 +384,11 @@ def test_rational_quotient_matches_fraction_oracle(kind, n):
 @pytest.mark.parametrize(
     "kind, n",
     [(kind, n) for kind in ("framed", "double", "linear", "dlinear") for n in range(4)]
-    + [("framed", 4), ("double", 4)],
+    + [("framed", 4), ("double", 4), ("double", 5)],
 )
 def test_integer_lattice_is_the_hnf_of_the_generators(kind, n):
-    # the lattice build skips the transform; its basis must be the nonzero
-    # rows of the full hnf of the same generator matrix
+    # the lattice build runs the sparse engine; its basis must be the nonzero
+    # rows of the dense hnf (with transform) of the same generator matrix
     index, hrows, pivots = _integer_lattice(kind, n)
     rows = set()
     for gen in generate_4T(kind, n, include_zero=False):
@@ -404,9 +405,35 @@ def test_integer_lattice_is_the_hnf_of_the_generators(kind, n):
     assert list(pivots) == [next(j for j, x in enumerate(row) if x) for row in nonzero]
 
 
+# (columns, rank, [(pivot column, pivot) for every pivot > 1]) of each lattice;
+# the dense hnf gives the same figures
+LATTICE_SHAPES = {
+    ("framed", 2): (6, 1, []),
+    ("framed", 3): (28, 16, []),
+    ("framed", 4): (234, 204, []),
+    ("double", 2): (5, 0, []),
+    ("double", 3): (15, 4, []),
+    ("double", 4): (64, 39, []),
+    ("double", 5): (408, 354, [(96, 4)]),
+    ("linear", 2): (12, 6, []),
+    ("linear", 3): (120, 104, []),
+    ("dlinear", 2): (15, 6, []),
+    ("dlinear", 3): (105, 82, []),
+    ("dlinear", 4): (945, 885, [(877, 2)]),
+}
+
+
+@pytest.mark.parametrize("kind, n", sorted(LATTICE_SHAPES))
+def test_lattice_shapes_are_pinned(kind, n):
+    index, hrows, pivots = _integer_lattice(kind, n)
+    big = [(p, row[p]) for row, p in zip(hrows, pivots) if row[p] > 1]
+    assert (len(index), len(hrows), big) == LATTICE_SHAPES[kind, n]
+
+
 def test_rational_membership_scales_past_a_pivot_above_one():
-    # the shipped lattices at the degrees tested above have only pivots of 1,
-    # so only a hand-made basis reaches the scaling step
+    # framed n <= 4, double n <= 4, linear n <= 3 and dlinear n <= 3 have only
+    # pivots of 1 (see LATTICE_SHAPES); these hand-made bases reach the
+    # scaling step without building dlinear n = 4 or double n = 5
     assert not _in_span([1, 0], ((2, 0),), (0,), rational=False)
     assert _in_span([1, 0], ((2, 0),), (0,), rational=True)
     rows, pivots = ((2, 0, 1), (0, 2, 1)), (0, 1)

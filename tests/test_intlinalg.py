@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from chordcalc import intlinalg
 from chordcalc.intlinalg import IntMatrix, det, hnf, solve_diophantine
 
 
@@ -113,6 +114,48 @@ def test_hnf_properties_random():
         assert abs(fraction_det(u.entries)) == 1
         assert is_hnf_shape(h)
         assert hnf(a, transform=False) == (h, None)
+
+
+def random_relation_matrix(rng):
+    """A sparse matrix shaped like a relation matrix: 10 to 40 rows and
+    columns (tall and wide), rows of one to four nonzeros up to +-6, with
+    duplicate rows and zero rows mixed in."""
+    rows, cols = rng.randint(10, 40), rng.randint(10, 40)
+    entries = []
+    for _ in range(rows):
+        roll = rng.random()
+        if roll < 0.1:
+            entries.append([0] * cols)
+        elif roll < 0.2 and entries:
+            entries.append(list(rng.choice(entries)))
+        else:
+            row = [0] * cols
+            for c in rng.sample(range(cols), rng.randint(1, min(4, cols))):
+                row[c] = rng.choice((-1, 1)) * rng.choice((1, 1, 1, 2, 3, 4, 5, 6))
+            entries.append(row)
+    return IntMatrix(entries, cols=cols)
+
+
+def test_sparse_hnf_matches_the_dense_path(monkeypatch):
+    # transform=False runs the sparse echelon; the dense elimination behind
+    # transform=True is its oracle, and the HNF is unique, so H must agree
+    xgcd_calls = []
+    xgcd = intlinalg._xgcd
+    monkeypatch.setattr(
+        intlinalg, "_xgcd", lambda a, b: xgcd_calls.append((a, b)) or xgcd(a, b)
+    )
+    rng = random.Random(20261018)
+    big_pivots = 0
+    for _ in range(150):
+        a = random_relation_matrix(rng)
+        h, _u = hnf(a)
+        assert hnf(a, transform=False) == (h, None)
+        big_pivots += any(
+            next((x for x in row if x), 1) > 1 for row in h.entries
+        )
+    # both the extended-gcd combination and a pivot > 1 were reached
+    assert xgcd_calls
+    assert big_pivots
 
 
 def test_hnf_derived_example():
