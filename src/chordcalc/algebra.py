@@ -32,7 +32,7 @@ from functools import lru_cache
 from math import gcd
 
 from .diagrams import KINDS, _CANONICALIZERS, CanonicalKey, enumerate_diagrams
-from .intlinalg import IntMatrix, _pivot_columns, hnf
+from .intlinalg import _add_multiple, _sparse_hnf
 
 #: Largest degree at which quotient equality is decided by default.  Above
 #: it the decision raises :class:`UndecidedError` instead of guessing.
@@ -193,61 +193,45 @@ class RelationGenerator:
     slide_pairs: tuple
 
 
-def _words_of(key):
-    """The words of a canonical key as lists of chord numbers, and its
-    framing (``None`` for the two-word kinds)."""
-    if key.kind in ("framed", "linear"):
-        return [[num for num, _fr in key.payload]], dict(key.payload)
-    return [list(key.payload[0]), list(key.payload[1])], None
-
-
-def _key_of(kind, words, framing):
-    """Canonical key of words built from a key's own words, which need no
-    validation."""
-    canon = _CANONICALIZERS[kind]
-    if framing is not None:
-        return canon(tuple((lab, framing[lab]) for lab in words[0]))
-    return canon(tuple(words[0]), tuple(words[1]))
-
-
 def _moves(kind, base):
     """Yield every (a, occ, b, placements, signs, pairs) slide datum of a base
-    diagram."""
-    words, framing = _words_of(base)
-    labels = []
-    for word in words:
-        for lab in word:
-            if lab not in labels:
-                labels.append(lab)
-    for a in labels:
-        a_positions = [
-            (wi, p) for wi, word in enumerate(words) for p, lab in enumerate(word) if lab == a
-        ]
-        for occ in (0, 1):
-            for b in labels:
+    key.
+
+    Placements are sliced from the key's own words: chord numbers for the
+    two-word kinds, ``(num, framing)`` tokens for the one-word kinds.  A
+    far-side slide across a framing-1 chord flips both tokens of the moving
+    chord: the inserted one and the one left in the stripped word.
+    """
+    canon = _CANONICALIZERS[kind]
+    one_word = kind in ("framed", "linear")
+    words = (base.payload,) if one_word else base.payload
+    framing = dict(base.payload) if one_word else {}
+    ends = {}  # chord number -> its two (word, position) endpoints, in order
+    for wi, word in enumerate(words):
+        for p, tok in enumerate(word):
+            ends.setdefault(tok[0] if one_word else tok, []).append((wi, p))
+    for a, a_ends in ends.items():
+        for occ, (xwi, xp) in enumerate(a_ends):
+            word = words[xwi]
+            tok = word[xp]
+            stripped = words[:xwi] + (word[:xp] + word[xp + 1 :],) + words[xwi + 1 :]
+            if one_word:
+                flipped_tok = (a, tok[1] ^ 1)
+                flipped = (tuple(flipped_tok if t[0] == a else t for t in stripped[0]),)
+            for b, b_ends in ends.items():
                 if b == a:
                     continue
-                xwi, xp = a_positions[occ]
-                stripped = [list(word) for word in words]
-                del stripped[xwi][xp]
-                b_positions = [
-                    (wi, p)
-                    for wi, word in enumerate(stripped)
-                    for p, lab in enumerate(word)
-                    if lab == b
-                ]
-                (w1, p1), (w2, p2) = b_positions
-                slots = ((w1, p1), (w1, p1 + 1), (w2, p2), (w2, p2 + 1))
-                flip_far_side = framing is not None and framing[b] == 1
+                slots = []
+                for wi, p in b_ends:
+                    if wi == xwi and p > xp:
+                        p -= 1
+                    slots += ((wi, p), (wi, p + 1))
+                flip_far_side = framing.get(b) == 1
+                far = (flipped, flipped_tok) if flip_far_side else (stripped, tok)
                 placements = []
-                for si, (wi, slot) in enumerate(slots):
-                    ws = [list(word) for word in stripped]
-                    ws[wi].insert(slot, a)
-                    fr = framing
-                    if flip_far_side and si >= 2:
-                        fr = dict(framing)
-                        fr[a] ^= 1
-                    placements.append(_key_of(kind, ws, fr))
+                for (wi, s), (ws, t) in zip(slots, ((stripped, tok), (stripped, tok), far, far)):
+                    w = ws[wi]
+                    placements.append(canon(*ws[:wi], w[:s] + (t,) + w[s:], *ws[wi + 1 :]))
                 placements = tuple(placements)
                 if flip_far_side:
                     signs = (1, -1, -1, 1)
@@ -331,54 +315,53 @@ def generate_2T_pairs(kind, n):
 
 @lru_cache(maxsize=None)
 def _integer_lattice(kind, n):
-    """HNF basis of the integer span of the degree-n 4T generators.
+    """The column of each degree-n key, and the HNF basis of the integer span
+    of the degree-n 4T generators: a map from pivot column to sparse
+    ``{column: coeff}`` row, in increasing pivot order.
 
-    The HNF rows are the generator rows times a unimodular matrix, so they
-    span the same Q-space as the generators too: one basis serves both the
-    Z and the Q membership question.
+    The rows come straight from the generator elements, deduplicated.  The
+    HNF rows are the generator rows times a unimodular matrix, so they span
+    the same Q-space as the generators too: one basis serves both the Z and
+    the Q membership question.
     """
-    basis = enumerate_diagrams(kind, n)
-    index = {key: i for i, key in enumerate(basis)}
-    rows = set()
-    for gen in generate_4T(kind, n, include_zero=False):
-        row = [0] * len(basis)
-        for key, coeff in gen.element.items():
-            row[index[key]] = coeff
-        rows.add(tuple(row))
-    if not rows:
-        return index, (), ()
-    h, _ = hnf(IntMatrix(sorted(rows), cols=len(basis)), transform=False)
-    pivots = _pivot_columns(h)
-    return index, tuple(tuple(row) for row in h.entries[: len(pivots)]), tuple(pivots)
+    index = {key: i for i, key in enumerate(enumerate_diagrams(kind, n))}
+    rows = {
+        tuple((index[key], coeff) for key, coeff in gen.element.items())
+        for gen in generate_4T(kind, n, include_zero=False)
+    }
+    return index, _sparse_hnf(dict(row) for row in sorted(rows))
 
 
 def _vectorize(element, index):
-    vec = [0] * len(index)
-    for key, coeff in element.items():
-        vec[index[key]] = coeff
-    return vec
+    return {index[key]: coeff for key, coeff in element.items()}
 
 
-def _in_span(vec, hrows, pivots, rational):
-    """Whether ``vec`` lies in the Z-span (or, if ``rational``, the Q-span) of
-    the echelon rows ``hrows``.
+def _in_span(vec, basis, rational):
+    """Whether the sparse vector ``vec`` lies in the Z-span (or, if
+    ``rational``, the Q-span) of the echelon ``basis``, a map from pivot
+    column to sparse row.
 
-    Over Q, a residual whose pivot entry the pivot does not divide is first
-    multiplied by the smallest integer that makes it divisible; a nonzero
-    scale never changes Q-membership, so the reduction stays integer-only.
+    The residual stays sparse and is reduced at its least column: a column
+    with no basis row there means "not in the span", over Z and over Q.  Over
+    Q, a residual whose entry the pivot does not divide is first multiplied
+    by the smallest integer that makes it divisible; a nonzero scale never
+    changes Q-membership, so the reduction stays integer-only.
     """
-    residual = list(vec)
-    for row, p in zip(hrows, pivots):
-        q, rem = divmod(residual[p], row[p])
+    residual = dict(vec)
+    while residual:
+        c = min(residual)
+        row = basis.get(c)
+        if row is None:
+            return False
+        q, rem = divmod(residual[c], row[c])
         if rem:
             if not rational:
                 return False
-            scale = row[p] // gcd(rem, row[p])
-            residual = [scale * x for x in residual]
-            q = residual[p] // row[p]
-        if q:
-            residual = [x - q * y for x, y in zip(residual, row)]
-    return not any(residual)
+            scale = row[c] // gcd(rem, row[c])
+            residual = {k: scale * x for k, x in residual.items()}
+            q = residual[c] // row[c]
+        _add_multiple(residual, -q, row)
+    return True
 
 
 def quotient_equal(u: ModuleElement, v: ModuleElement, rational=False, max_degree=None) -> bool:
@@ -405,8 +388,8 @@ def quotient_equal(u: ModuleElement, v: ModuleElement, rational=False, max_degre
             raise UndecidedError(
                 f"undecided: degree {n} exceeds the ceiling {ceiling} for kind {u.kind}"
             )
-        index, hrows, pivots = _integer_lattice(u.kind, n)
+        index, basis = _integer_lattice(u.kind, n)
         vec = _vectorize(difference.homogeneous_part(n), index)
-        if not _in_span(vec, hrows, pivots, rational):
+        if not _in_span(vec, basis, rational):
             return False
     return True

@@ -1,11 +1,13 @@
 """Exact integer matrix algebra: Hermite normal form and Diophantine solving.
 
 Everything here runs on arbitrary-precision Python integers; no floating
-point is ever involved, so span-membership answers are exact.  ``IntMatrix``
-is dense.  The relation matrices the lattices are built from hold about four
-nonzeros per row in up to 1680 columns, so ``hnf`` without the transform
-eliminates on sparse rows; the dense elimination stays for ``hnf`` with the
-transform, which ``solve_diophantine`` and the tests use.
+point is ever involved, so span-membership answers are exact.  The relation
+matrices the 4T lattices are built from hold about four nonzeros per row in
+up to 10,395 columns, so the lattice engine, :func:`_sparse_hnf`, takes
+``{column: nonzero}`` rows and returns its basis sparse.  ``IntMatrix`` is
+dense and serves the public functions: ``hnf(a, transform=False)`` densifies
+the lattice engine's basis, and the dense elimination stays for ``hnf`` with
+the transform, which ``solve_diophantine`` and the tests use.
 """
 
 from __future__ import annotations
@@ -93,12 +95,18 @@ def hnf(a: IntMatrix, transform=True):
     integer row additions, so ``det U`` is +-1).  ``H`` is in row echelon
     form with positive pivots; every entry above a pivot is reduced into
     ``[0, pivot)``.  Zero rows sink to the bottom.  With ``transform=False``
-    ``U`` is ``None`` and ``H`` comes from a sparse incremental echelon
-    (:func:`_sparse_hnf`) instead of the dense elimination; it is the same
-    ``H``, because the Hermite normal form of a row lattice is unique.
+    ``U`` is ``None`` and ``H`` is the lattice engine's sparse basis
+    (:func:`_sparse_hnf`) written out densely, padded with zero rows; it is
+    the same ``H`` as the dense elimination's, because the Hermite normal
+    form of a row lattice is unique.
     """
     if not transform:
-        return _sparse_hnf(a), None
+        basis = _sparse_hnf({c: x for c, x in enumerate(row) if x} for row in a.entries)
+        h = [[0] * a.cols for _ in range(a.rows)]
+        for dense, row in zip(h, basis.values()):
+            for c, x in row.items():
+                dense[c] = x
+        return IntMatrix(h, cols=a.cols), None
     h = [row[:] for row in a.entries]
     m, ncols = a.rows, a.cols
     u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
@@ -167,8 +175,9 @@ def _add_multiple(row, q, other):
             del row[c]
 
 
-def _sparse_hnf(a: IntMatrix) -> IntMatrix:
-    """The ``H`` of :func:`hnf` by a sparse incremental echelon.
+def _sparse_hnf(rows):
+    """The Hermite normal form of the lattice spanned by sparse integer rows,
+    as a map from pivot column to basis row, in increasing pivot order.
 
     Each row is a ``{column: nonzero}`` dict, inserted into a map from pivot
     column to basis row.  A row whose leading column already has a basis row
@@ -181,9 +190,9 @@ def _sparse_hnf(a: IntMatrix) -> IntMatrix:
     are unimodular, so the lattice is unchanged, and the insertion order is
     free: rows go in by descending last nonzero column, which took the
     linear n=4 relation matrix (4980 x 1680) from 6.6 s in row order to 2.5 s
-    (one run each, a 2-vCPU VM, Python 3.11).
+    (one run each, a 2-vCPU VM, Python 3.11).  The rows are consumed: they
+    are reduced in place and may become basis rows.
     """
-    rows = [{c: x for c, x in enumerate(row) if x} for row in a.entries]
     basis = {}  # pivot column -> the basis row that starts there
     for row in sorted(filter(None, rows), key=max, reverse=True):
         while row:
@@ -210,14 +219,7 @@ def _sparse_hnf(a: IntMatrix) -> IntMatrix:
             q = basis[j].get(c, 0) // top[c]
             if q:
                 _add_multiple(basis[j], -q, top)
-    h = []
-    for c in order:
-        dense = [0] * a.cols
-        for k, x in basis[c].items():
-            dense[k] = x
-        h.append(dense)
-    h.extend([0] * a.cols for _ in range(a.rows - len(h)))
-    return IntMatrix(h, cols=a.cols)
+    return {c: basis[c] for c in order}
 
 
 def det(a: IntMatrix) -> int:

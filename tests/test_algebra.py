@@ -2,9 +2,11 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
+from chordcalc import algebra
 from chordcalc.algebra import (
     KindMismatchError,
     ModuleElement,
@@ -12,12 +14,16 @@ from chordcalc.algebra import (
     UndecidedError,
     _in_span,
     _integer_lattice,
+    _moves,
+    _vectorize,
     combine,
     generate_2T_pairs,
     generate_4T,
     quotient_equal,
 )
 from chordcalc.diagrams import (
+    _CANONICALIZERS,
+    KINDS,
     DoubleChordDiagram,
     FramedChordDiagram,
     enumerate_diagrams,
@@ -240,6 +246,65 @@ def test_generators_match_the_public_constructor_oracle(kind, n):
         assert generate_2T_pairs(kind, n) == tuple(sorted(pairs))
 
 
+def list_copy_moves(kind, base):
+    """The list-copying ``_moves`` that the tuple-slicing one replaced, kept
+    as its oracle: every placement copies the stripped words, inserts the
+    moving endpoint and rebuilds the tokens from a framing dict."""
+    canon = _CANONICALIZERS[kind]
+    if kind in ("framed", "linear"):
+        words, framing = [[num for num, _fr in base.payload]], dict(base.payload)
+    else:
+        words, framing = [list(base.payload[0]), list(base.payload[1])], None
+    labels = []
+    for word in words:
+        for lab in word:
+            if lab not in labels:
+                labels.append(lab)
+    for a in labels:
+        a_positions = [
+            (wi, p) for wi, word in enumerate(words) for p, lab in enumerate(word) if lab == a
+        ]
+        for occ in (0, 1):
+            for b in labels:
+                if b == a:
+                    continue
+                xwi, xp = a_positions[occ]
+                stripped = [list(word) for word in words]
+                del stripped[xwi][xp]
+                (w1, p1), (w2, p2) = [
+                    (wi, p) for wi, word in enumerate(stripped) for p, lab in enumerate(word)
+                    if lab == b
+                ]
+                slots = ((w1, p1), (w1, p1 + 1), (w2, p2), (w2, p2 + 1))
+                flip_far_side = framing is not None and framing[b] == 1
+                placements = []
+                for si, (wi, slot) in enumerate(slots):
+                    ws = [list(word) for word in stripped]
+                    ws[wi].insert(slot, a)
+                    if framing is None:
+                        placements.append(canon(tuple(ws[0]), tuple(ws[1])))
+                        continue
+                    fr = dict(framing)
+                    if flip_far_side and si >= 2:
+                        fr[a] ^= 1
+                    placements.append(canon(tuple((lab, fr[lab]) for lab in ws[0])))
+                placements = tuple(placements)
+                signs = (1, -1, -1, 1) if flip_far_side else (1, -1, 1, -1)
+                pairing = ((0, 2), (1, 3)) if flip_far_side else ((0, 3), (1, 2))
+                pairs = tuple(tuple(sorted((placements[i], placements[j]))) for i, j in pairing)
+                yield a, occ, b, placements, signs, pairs
+
+
+@pytest.mark.parametrize(
+    "kind, n",
+    [(kind, n) for kind in KINDS for n in range(4)]
+    + [("framed", 4), ("double", 4), ("dlinear", 4)],
+)
+def test_moves_match_the_list_copying_oracle(kind, n):
+    for base in enumerate_diagrams(kind, n):
+        assert list(_moves(kind, base)) == list(list_copy_moves(kind, base))
+
+
 # --- 2T pairs ---------------------------------------------------------------------
 
 
@@ -381,15 +446,23 @@ def test_rational_quotient_matches_fraction_oracle(kind, n):
             assert expected
 
 
+def densify(row, width):
+    dense = [0] * width
+    for c, x in row.items():
+        dense[c] = x
+    return dense
+
+
 @pytest.mark.parametrize(
     "kind, n",
     [(kind, n) for kind in ("framed", "double", "linear", "dlinear") for n in range(4)]
     + [("framed", 4), ("double", 4), ("double", 5)],
 )
 def test_integer_lattice_is_the_hnf_of_the_generators(kind, n):
-    # the lattice build runs the sparse engine; its basis must be the nonzero
-    # rows of the dense hnf (with transform) of the same generator matrix
-    index, hrows, pivots = _integer_lattice(kind, n)
+    # the lattice build runs the sparse engine on sparse rows; its basis,
+    # written out densely, must be the nonzero rows of the dense hnf (with
+    # transform) of the same generator matrix
+    index, basis = _integer_lattice(kind, n)
     rows = set()
     for gen in generate_4T(kind, n, include_zero=False):
         row = [0] * len(index)
@@ -397,12 +470,13 @@ def test_integer_lattice_is_the_hnf_of_the_generators(kind, n):
             row[index[key]] = coeff
         rows.add(tuple(row))
     if not rows:
-        assert hrows == pivots == ()
+        assert basis == {}
         return
     h, _u = hnf(IntMatrix(sorted(rows), cols=len(index)))
     nonzero = [tuple(row) for row in h.entries if any(row)]
-    assert list(hrows) == nonzero
-    assert list(pivots) == [next(j for j, x in enumerate(row) if x) for row in nonzero]
+    assert [tuple(densify(row, len(index))) for row in basis.values()] == nonzero
+    assert list(basis) == [next(j for j, x in enumerate(row) if x) for row in nonzero]
+    assert all(all(row.values()) for row in basis.values())
 
 
 # (columns, rank, [(pivot column, pivot) for every pivot > 1]) of each lattice;
@@ -425,22 +499,74 @@ LATTICE_SHAPES = {
 
 @pytest.mark.parametrize("kind, n", sorted(LATTICE_SHAPES))
 def test_lattice_shapes_are_pinned(kind, n):
-    index, hrows, pivots = _integer_lattice(kind, n)
-    big = [(p, row[p]) for row, p in zip(hrows, pivots) if row[p] > 1]
-    assert (len(index), len(hrows), big) == LATTICE_SHAPES[kind, n]
+    index, basis = _integer_lattice(kind, n)
+    big = [(p, row[p]) for p, row in basis.items() if row[p] > 1]
+    assert (len(index), len(basis), big) == LATTICE_SHAPES[kind, n]
 
 
 def test_rational_membership_scales_past_a_pivot_above_one():
     # framed n <= 4, double n <= 4, linear n <= 3 and dlinear n <= 3 have only
-    # pivots of 1 (see LATTICE_SHAPES); these hand-made bases reach the
+    # pivots of 1 (see LATTICE_SHAPES); these hand-made sparse bases reach the
     # scaling step without building dlinear n = 4 or double n = 5
-    assert not _in_span([1, 0], ((2, 0),), (0,), rational=False)
-    assert _in_span([1, 0], ((2, 0),), (0,), rational=True)
-    rows, pivots = ((2, 0, 1), (0, 2, 1)), (0, 1)
-    assert not _in_span([1, 1, 1], rows, pivots, rational=False)
-    assert _in_span([1, 1, 1], rows, pivots, rational=True)
-    assert not _in_span([1, 0, 0], rows, pivots, rational=True)
-    assert _in_span([2, 2, 2], rows, pivots, rational=False)
+    assert not _in_span({0: 1}, {0: {0: 2}}, rational=False)
+    assert _in_span({0: 1}, {0: {0: 2}}, rational=True)
+    basis = {0: {0: 2, 2: 1}, 1: {1: 2, 2: 1}}
+    assert not _in_span({0: 1, 1: 1, 2: 1}, basis, rational=False)
+    assert _in_span({0: 1, 1: 1, 2: 1}, basis, rational=True)
+    assert not _in_span({0: 1}, basis, rational=True)
+    assert _in_span({0: 2, 1: 2, 2: 2}, basis, rational=False)
+
+
+def dense_in_span(vec, hrows, pivots, rational):
+    """The dense membership test that the sparse ``_in_span`` replaced, kept
+    as its oracle: it reduces a dense residual by the dense echelon rows
+    ``hrows`` at every pivot column in ``pivots``."""
+    residual = list(vec)
+    for row, p in zip(hrows, pivots):
+        q, rem = divmod(residual[p], row[p])
+        if rem:
+            if not rational:
+                return False
+            scale = row[p] // gcd(rem, row[p])
+            residual = [scale * x for x in residual]
+            q = residual[p] // row[p]
+        if q:
+            residual = [x - q * y for x, y in zip(residual, row)]
+    return not any(residual)
+
+
+@pytest.mark.parametrize(
+    "kind, n",
+    [(kind, n) for kind in KINDS for n in range(4)]
+    + [("framed", 4), ("double", 4), ("dlinear", 4)],
+)
+def test_sparse_membership_matches_the_dense_oracle(kind, n, monkeypatch):
+    scaled = []
+    monkeypatch.setattr(algebra, "gcd", lambda a, b: scaled.append(b) or gcd(a, b))
+    index, basis = _integer_lattice(kind, n)
+    hrows = [densify(row, len(index)) for row in basis.values()]
+    gens = [g.element for g in generate_4T(kind, n)]
+    keys = enumerate_diagrams(kind, n)
+    zero = ModuleElement.zero(kind)
+    rng = random.Random(f"membership {kind}{n}")
+    vectors = list(gens)
+    for _ in range(30):
+        total = zero
+        for _ in range(rng.randint(1, 6) if gens else 0):
+            total = total + rng.randint(-3, 3) * rng.choice(gens)
+        near = total + rng.choice((1, -1)) * single(rng.choice(keys))
+        vectors += [total, near, 2 * total, 2 * near]
+    answers = set()
+    for element in vectors:
+        vec = _vectorize(element, index)
+        for rational in (False, True):
+            expected = dense_in_span(densify(vec, len(index)), hrows, list(basis), rational)
+            assert _in_span(vec, basis, rational) == expected
+            answers.add(expected)
+    assert answers == {True, False}
+    if (kind, n) == ("dlinear", 4):
+        # its pivot of 2 at column 877 takes the Q reduction through scaling
+        assert 2 in scaled
 
 
 def test_quotient_kind_mismatch():
