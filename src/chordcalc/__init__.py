@@ -23,6 +23,7 @@ from .diagrams import (
     DoubleLinearDiagram,
     FramedChordDiagram,
     FramedLinearDiagram,
+    InvalidArgumentError,
     InvalidDiagramError,
     canonicalize_double,
     canonicalize_framed,
@@ -59,6 +60,7 @@ __all__ = [
     "FramedChordDiagram",
     "FramedLinearDiagram",
     "IntMatrix",
+    "InvalidArgumentError",
     "InvalidDiagramError",
     "KINDS",
     "KindMismatchError",

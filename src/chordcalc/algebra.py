@@ -325,15 +325,16 @@ def _integer_lattice(kind, n):
     the Q membership question.
     """
     index = {key: i for i, key in enumerate(enumerate_diagrams(kind, n))}
+    # each row is sorted by column, so that equal rows deduplicate
     rows = {
-        tuple((index[key], coeff) for key, coeff in gen.element.items())
+        tuple(sorted((index[key], coeff) for key, coeff in gen.element._terms.items()))
         for gen in generate_4T(kind, n, include_zero=False)
     }
     return index, _sparse_hnf(dict(row) for row in sorted(rows))
 
 
 def _vectorize(element, index):
-    return {index[key]: coeff for key, coeff in element.items()}
+    return {index[key]: coeff for key, coeff in element._terms.items()}
 
 
 def _in_span(vec, basis, rational):

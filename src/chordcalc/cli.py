@@ -35,6 +35,7 @@ from .diagrams import (
     DoubleLinearDiagram,
     FramedChordDiagram,
     FramedLinearDiagram,
+    InvalidArgumentError,
     InvalidDiagramError,
     closure,
     coproduct,
@@ -453,7 +454,13 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         code, text = args.run(args)
-    except (ParseError, InvalidDiagramError, KindMismatchError, UndecidedError, ValueError) as exc:
+    except (
+        ParseError,
+        InvalidDiagramError,
+        InvalidArgumentError,
+        KindMismatchError,
+        UndecidedError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if text:

@@ -18,6 +18,7 @@ from .diagrams import (
     DoubleLinearDiagram,
     FramedChordDiagram,
     FramedLinearDiagram,
+    InvalidArgumentError,
     _CANONICALIZERS,
     reverse_word,
 )
@@ -80,10 +81,10 @@ def _psi(kind, d):
 
 
 def _image_kind(kind):
-    """The kind the parity map sends ``kind`` to; ``ValueError`` for a kind
-    it does not expand."""
+    """The kind the parity map sends ``kind`` to; ``InvalidArgumentError``
+    for a kind it does not expand."""
     if kind not in _PARITY:
-        raise ValueError(f"the parity map expands framed or linear elements, got {kind}")
+        raise InvalidArgumentError(f"the parity map expands framed or linear elements, got {kind}")
     return _PARITY[kind][1]
 
 
@@ -93,7 +94,7 @@ def parity_module(u: ModuleElement) -> ModuleElement:
     """
     image_kind = _image_kind(u.kind)
     terms = []
-    for key, coeff in u.items():
+    for key, coeff in u._terms.items():
         word = tuple(num for num, _fr in key.payload)
         for image_key, count in _expansion(u.kind, word, dict(key.payload)).items():
             terms.append((image_key, coeff * count))
@@ -124,7 +125,7 @@ def psi(d: FramedChordDiagram) -> ModuleElement:
 def psi_module(u: ModuleElement) -> ModuleElement:
     """Linear extension of :func:`psi` to framed module elements."""
     if u.kind != "framed":
-        raise ValueError(f"psi_module expects a framed element, got {u.kind}")
+        raise InvalidArgumentError(f"psi_module expects a framed element, got {u.kind}")
     return parity_module(u)
 
 
@@ -145,5 +146,5 @@ def psi_l(g: FramedLinearDiagram) -> ModuleElement:
 def psi_l_module(u: ModuleElement) -> ModuleElement:
     """Linear extension of :func:`psi_l` to linear module elements."""
     if u.kind != "linear":
-        raise ValueError(f"psi_l_module expects a linear element, got {u.kind}")
+        raise InvalidArgumentError(f"psi_l_module expects a linear element, got {u.kind}")
     return parity_module(u)

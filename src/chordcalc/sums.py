@@ -18,6 +18,7 @@ from .diagrams import (
     DoubleLinearDiagram,
     FramedChordDiagram,
     FramedLinearDiagram,
+    InvalidArgumentError,
     _canon_framed,
     enumerate_diagrams,
     from_key,
@@ -44,7 +45,7 @@ class CutPoint:
 def _check_arc(d, arc):
     limit = max(2 * d.n, 1)
     if not isinstance(arc, int) or not 0 <= arc < limit:
-        raise ValueError(f"arc index {arc!r} out of range for a {d.n}-chord diagram")
+        raise InvalidArgumentError(f"arc index {arc!r} out of range for a {d.n}-chord diagram")
     return arc
 
 
@@ -143,7 +144,7 @@ def search_counterexample(max_chords: int):
     confirms the inequality exactly.
     """
     if max_chords < 0:
-        raise ValueError("max_chords must be nonnegative")
+        raise InvalidArgumentError("max_chords must be nonnegative")
     witnesses = []
     weights = {}  # sum key -> weight of its parity expansion
     for total in range(max_chords + 1):

@@ -241,4 +241,4 @@ def weight(u: ModuleElement) -> int:
         raise TypeError("weight takes a ModuleElement")
     if u.kind not in ("double", "dlinear"):
         raise KindMismatchError(f"weight is defined for double/dlinear, got {u.kind}")
-    return sum(coeff * _beta_of_key(key) for key, coeff in u.items())
+    return sum(coeff * _beta_of_key(key) for key, coeff in u._terms.items())

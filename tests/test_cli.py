@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from chordcalc import cli
 from chordcalc.algebra import ModuleElement
 from chordcalc.cli import (
     ParseError,
@@ -20,6 +21,7 @@ from chordcalc.diagrams import (
     DoubleLinearDiagram,
     FramedChordDiagram,
     FramedLinearDiagram,
+    InvalidArgumentError,
     enumerate_diagrams,
 )
 from chordcalc.parity import psi_module
@@ -296,6 +298,33 @@ def test_check_4t_rejects_negative_degree(capsys):
         code, out, err = run_main(capsys, "check-4t", "--kind", kind, "--degree", "-1")
         assert (code, out) == (2, "")
         assert err == "error: chord count must be nonnegative\n"
+
+
+def test_argument_errors_exit_two(capsys):
+    cases = [
+        (("enumerate", "--kind", "double", "--degree", "-1"), "chord count must be nonnegative"),
+        (("find-counterexample", "--max-chords", "-1"), "max_chords must be nonnegative"),
+        (
+            ("consum", "cd: A1 A1", "cd: A0 A0", "--cut1", "9"),
+            "arc index 9 out of range for a 1-chord diagram",
+        ),
+    ]
+    for argv, message in cases:
+        assert run_main(capsys, *argv) == (2, "", f"error: {message}\n")
+    with pytest.raises(InvalidArgumentError, match="expects a framed element"):
+        psi_module(ModuleElement.zero("double"))
+
+
+def test_internal_value_error_is_not_a_usage_error(monkeypatch, capsys):
+    # a ValueError that no library check raised on purpose is a bug: it
+    # propagates instead of exiting 2 as if the input were wrong
+    def broken(kind, n):
+        raise ValueError("internal")
+
+    monkeypatch.setattr(cli, "enumerate_diagrams", broken)
+    with pytest.raises(ValueError, match="internal"):
+        main(["enumerate", "--kind", "framed", "--degree", "2"])
+    assert capsys.readouterr() == ("", "")
 
 
 def test_find_counterexample_command(capsys):

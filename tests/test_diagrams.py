@@ -17,6 +17,8 @@ from chordcalc.diagrams import (
     FramedChordDiagram,
     FramedLinearDiagram,
     InvalidDiagramError,
+    _canon_double,
+    _canon_framed,
     closure,
     coproduct,
     enumerate_diagrams,
@@ -217,6 +219,117 @@ def test_double_key_matches_all_pairs_oracle():
         for _ in range(3):
             v1, v2 = scrambled(w1, w2, rng)
             assert DoubleChordDiagram(v1, v2).key().payload == expected
+
+
+# --- pruned rotation scan against the brute-force scan -------------------------
+
+
+def brute_rotations(seq):
+    seq = tuple(seq)
+    if len(seq) <= 1:
+        return (seq,)
+    return tuple(seq[r:] + seq[:r] for r in range(len(seq)))
+
+
+def brute_numbered(word, numbering):
+    return tuple(numbering.setdefault(lab, len(numbering) + 1) for lab in word)
+
+
+def brute_framed_payload(tokens):
+    """Every rotation relabelled in full, then the least one."""
+    if not tokens:
+        return ()
+    return min(
+        tuple(zip(brute_numbered([lab for lab, _ in r], {}), [fr for _, fr in r]))
+        for r in brute_rotations(tokens)
+    )
+
+
+def brute_double_payload(w1, w2):
+    """The least first circle over every rotation of both words, then the
+    least second circle over every rotation of the other word, continuing
+    the numbering of each rotation that ties for the first."""
+    best1, ties = None, []
+    for a, b in ((w1, w2), (w2, w1)):
+        for ra in brute_rotations(a):
+            numbering = {}
+            t1 = brute_numbered(ra, numbering)
+            if best1 is None or t1 < best1:
+                best1, ties = t1, [(numbering, b)]
+            elif t1 == best1:
+                ties.append((numbering, b))
+    best2 = min(
+        brute_numbered(rb, dict(numbering))
+        for numbering, b in ties
+        for rb in brute_rotations(b)
+    )
+    return (best1, best2)
+
+
+def random_words(rng, count, max_chords):
+    for _ in range(count):
+        n = rng.randint(0, max_chords)
+        word = [f"c{c}" for c in range(n) for _ in (0, 1)]
+        rng.shuffle(word)
+        yield n, tuple(word)
+
+
+def symmetric_words(max_chords):
+    """Words with many equal relabelled rotations: a block of m chords read
+    twice (``1 2 1 2``, ``1 2 3 1 2 3``), m isolated chords (``1 1 2 2 3
+    3``), and two blocks side by side or interleaved."""
+    for m in range(1, max_chords + 1):
+        block = tuple(f"c{c}" for c in range(m))
+        yield block + block
+        yield tuple(lab for lab in block for _ in (0, 1))
+        if 2 * m <= max_chords:
+            other = tuple(f"d{c}" for c in range(m))
+            yield block + block + other + other
+            yield block + other + block + other
+
+
+def test_framed_pruned_scan_matches_the_brute_force_scan():
+    cases = []
+    for n in range(6):
+        for key in enumerate_diagrams("framed", n):
+            cases += brute_rotations(key.payload)
+    rng = random.Random(1980)
+    for n, word in random_words(rng, 1500, 9):
+        framing = {lab: rng.randint(0, 1) for lab in word}
+        cases.append(tuple((lab, framing[lab]) for lab in word))
+    for word in symmetric_words(6):
+        labels = sorted(set(word))
+        for framing in ({lab: 0 for lab in labels}, {lab: 1 for lab in labels}):
+            for rotated in brute_rotations(word):
+                cases.append(tuple((lab, framing[lab]) for lab in rotated))
+        alternating = {lab: i % 2 for i, lab in enumerate(labels)}
+        cases.append(tuple((lab, alternating[lab]) for lab in word))
+    for tokens in cases:
+        key = _canon_framed.__wrapped__(tokens)
+        assert key == CanonicalKey("framed", brute_framed_payload(tokens)), tokens
+
+
+def test_double_pruned_scan_matches_the_brute_force_scan():
+    cases = []
+    for n in range(6):
+        for key in enumerate_diagrams("double", n):
+            w1, w2 = key.payload
+            cases += [(r1, r2) for r1 in brute_rotations(w1) for r2 in brute_rotations(w2)]
+    cases += [(w2, w1) for w1, w2 in cases]
+    rng = random.Random(1980)
+    for n, word in random_words(rng, 1500, 9):
+        split = rng.randint(0, 2 * n)
+        cases.append((word[:split], word[split:]))
+    for word in symmetric_words(6):
+        renamed = tuple("e" + lab for lab in word)
+        for rotated in brute_rotations(word):
+            cases += [(rotated, ()), ((), rotated), (rotated, renamed), (renamed, rotated)]
+        half = len(word) // 2
+        cases += [(word[:half], word[half:]), (word[half:], word[:half])]
+    cases += [(tuple(a.split()), tuple(b.split())) for a, b in TIE_HEAVY_DOUBLES]
+    for w1, w2 in cases:
+        key = _canon_double.__wrapped__(w1, w2)
+        assert key == CanonicalKey("double", brute_double_payload(w1, w2)), (w1, w2)
 
 
 # --- linear canonicalization -------------------------------------------------
