@@ -25,9 +25,6 @@ from .diagrams import (
     FramedLinearDiagram,
     InvalidArgumentError,
     InvalidDiagramError,
-    canonicalize_double,
-    canonicalize_framed,
-    canonicalize_linear,
     closure,
     coproduct,
     enumerate_diagrams,
@@ -35,7 +32,7 @@ from .diagrams import (
     restrict,
     reverse_word,
 )
-from .intlinalg import IntMatrix, det, hnf, solve_diophantine
+from .intlinalg import IntMatrix, hnf, solve_diophantine
 from .parity import psi, psi_l, psi_l_module, psi_l_summands, psi_module, psi_summands
 from .sums import (
     CutPoint,
@@ -71,9 +68,6 @@ __all__ = [
     "UndecidedError",
     "beta",
     "beta_framed",
-    "canonicalize_double",
-    "canonicalize_framed",
-    "canonicalize_linear",
     "closure",
     "combine",
     "connected_sum_dlinear",
@@ -81,7 +75,6 @@ __all__ = [
     "connected_sum_linear",
     "coproduct",
     "cut_open",
-    "det",
     "enumerate_diagrams",
     "from_key",
     "generate_2T_pairs",

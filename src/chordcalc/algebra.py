@@ -66,7 +66,8 @@ class ModuleElement:
                 raise TypeError("terms must be keyed by CanonicalKey")
             if key.kind != kind:
                 raise KindMismatchError(f"{key.kind} key in a {kind} element")
-            coeff = int(coeff)
+            if not isinstance(coeff, int):
+                raise TypeError(f"integer coefficients only, got {type(coeff).__name__}")
             if coeff:
                 new = accumulated.get(key, 0) + coeff
                 if new:

@@ -117,7 +117,9 @@ class DoubleChordDiagram:
     """Chords distributed over two oriented circles; no framing data.
 
     Either circle may be empty; an empty circle is a free loop of the
-    diagram.  The two circles are interchangeable (see :func:`canonicalize_double`).
+    diagram.  The two circles are interchangeable: isomorphisms only have to
+    preserve the circle orientations, not which circle is first, so the key
+    minimizes over exchanging them as well as over rotations of both words.
     """
 
     kind = "double"
@@ -320,28 +322,6 @@ _CANONICALIZERS = {
     "linear": _canon_linear,
     "dlinear": _canon_dlinear,
 }
-
-
-def canonicalize_framed(d: FramedChordDiagram) -> CanonicalKey:
-    """Lexicographic minimum over all rotations of the relabelled cyclic word."""
-    return d.key()
-
-
-def canonicalize_double(d: DoubleChordDiagram) -> CanonicalKey:
-    """Minimum over rotations of both words and the exchange of the circles.
-
-    Circle exchange is permitted: the isomorphisms only have to preserve the
-    circle orientations, not which circle is "first".
-    """
-    return d.key()
-
-
-def canonicalize_linear(d) -> CanonicalKey:
-    """Relabel by first occurrence; no rotation, and ``dlinear`` lines keep
-    their order."""
-    if not isinstance(d, (FramedLinearDiagram, DoubleLinearDiagram)):
-        raise TypeError(f"expected a linear diagram, got {type(d).__name__}")
-    return d.key()
 
 
 def spell_label(i: int) -> str:

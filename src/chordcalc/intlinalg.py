@@ -1,20 +1,22 @@
 """Exact integer matrix algebra: Hermite normal form and Diophantine solving.
 
 Everything here runs on arbitrary-precision Python integers; no floating
-point is ever involved, so span-membership answers are exact.  The relation
-matrices the 4T lattices are built from hold about four nonzeros per row in
-up to 10,395 columns, so the lattice engine, :func:`_sparse_hnf`, takes
-``{column: nonzero}`` rows and returns its basis sparse.  ``IntMatrix`` is
-dense and serves the public functions: ``hnf(a, transform=False)`` densifies
-the lattice engine's basis, and the dense elimination stays for ``hnf`` with
-the transform, which ``solve_diophantine`` and the tests use.
+point is ever involved, so span-membership answers are exact.  There is one
+elimination, :func:`_sparse_hnf`.  The relation matrices the 4T lattices are
+built from hold about four nonzeros per row in up to 10,395 columns, so it
+takes ``{column: nonzero}`` rows and returns its basis sparse; the lattice
+path calls it directly.  The public functions take a dense ``IntMatrix`` and
+run the same engine on augmented rows: :func:`hnf` on ``[a | I]``, reading
+the unimodular ``U`` off the unit columns, and :func:`solve_diophantine` on
+the columns of ``a`` tagged the same way, reading the solution off the tags.
 """
 
 from __future__ import annotations
 
 
 class IntMatrix:
-    """A dense rectangular matrix of Python ints."""
+    """A dense rectangular matrix of Python ints: the validated input and
+    output type of :func:`hnf` and :func:`solve_diophantine`."""
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -36,30 +38,6 @@ class IntMatrix:
         self.rows = len(entries)
         self.cols = cols
         self.entries = entries
-
-    @classmethod
-    def identity(cls, n):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, rows, cols):
-        return cls([[0] * cols for _ in range(rows)], cols=cols)
-
-    def copy(self):
-        return IntMatrix([row[:] for row in self.entries], cols=self.cols)
-
-    def transpose(self):
-        return IntMatrix(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
-        )
-
-    def row(self, i):
-        return list(self.entries[i])
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
 
     def __matmul__(self, other):
         if not isinstance(other, IntMatrix):
@@ -88,70 +66,33 @@ class IntMatrix:
         return f"IntMatrix({self.entries!r})"
 
 
-def hnf(a: IntMatrix, transform=True):
+def hnf(a: IntMatrix):
     """Row-style Hermite normal form: returns ``(H, U)`` with ``H = U @ a``.
 
-    ``U`` is unimodular (it is a product of row swaps, row negations, and
-    integer row additions, so ``det U`` is +-1).  ``H`` is in row echelon
-    form with positive pivots; every entry above a pivot is reduced into
-    ``[0, pivot)``.  Zero rows sink to the bottom.  With ``transform=False``
-    ``U`` is ``None`` and ``H`` is the lattice engine's sparse basis
-    (:func:`_sparse_hnf`) written out densely, padded with zero rows; it is
-    the same ``H`` as the dense elimination's, because the Hermite normal
-    form of a row lattice is unique.
+    ``H`` is in row echelon form with positive pivots; every entry above a
+    pivot is reduced into ``[0, pivot)``, and zero rows sink to the bottom.
+    ``U`` is unimodular (``det U`` is +-1).  Both come from one run of
+    :func:`_sparse_hnf` on the rows of ``[a | I]``, whose unit columns
+    record which combination of the rows of ``a`` each basis row is:
+    split at column ``a.cols``, a basis row is a row of ``H`` on the left
+    and the same row of ``U`` on the right.  Basis rows with their pivot
+    in the unit columns are zero on the left and come last.  ``H`` is
+    unique; ``U`` is one of many valid unimodular matrices.
     """
-    if not transform:
-        basis = _sparse_hnf({c: x for c, x in enumerate(row) if x} for row in a.entries)
-        h = [[0] * a.cols for _ in range(a.rows)]
-        for dense, row in zip(h, basis.values()):
-            for c, x in row.items():
-                dense[c] = x
-        return IntMatrix(h, cols=a.cols), None
-    h = [row[:] for row in a.entries]
-    m, ncols = a.rows, a.cols
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-
-    def swap(i, j):
-        for x in (h, u):
-            x[i], x[j] = x[j], x[i]
-
-    def subtract(i, q, j):  # row i -= q * row j
-        for x in (h, u):
-            x[i] = [s - q * t for s, t in zip(x[i], x[j])]
-
-    r = 0
-    for c in range(ncols):
-        if r == m:
-            break
-        # euclidean elimination below the working row
-        while True:
-            nonzero = [i for i in range(r, m) if h[i][c] != 0]
-            if not nonzero:
-                break
-            i0 = min(nonzero, key=lambda i: (abs(h[i][c]), i))
-            if i0 != r:
-                swap(r, i0)
-            done = True
-            for i in range(r + 1, m):
-                if h[i][c] != 0:
-                    q = h[i][c] // h[r][c]
-                    if q:
-                        subtract(i, q, r)
-                    if h[i][c] != 0:
-                        done = False
-            if done:
-                break
-        if h[r][c] == 0:
-            continue
-        if h[r][c] < 0:
-            for x in (h, u):
-                x[r] = [-s for s in x[r]]
-        for j in range(r):
-            q = h[j][c] // h[r][c]
-            if q:
-                subtract(j, q, r)
-        r += 1
-    return IntMatrix(h, cols=ncols), IntMatrix(u, cols=m)
+    m, n = a.rows, a.cols
+    basis = _sparse_hnf(
+        {**{c: x for c, x in enumerate(row) if x}, n + i: 1}
+        for i, row in enumerate(a.entries)
+    )
+    h = [[0] * n for _ in range(m)]
+    u = [[0] * m for _ in range(m)]
+    for h_row, u_row, row in zip(h, u, basis.values()):
+        for c, x in row.items():
+            if c < n:
+                h_row[c] = x
+            else:
+                u_row[c - n] = x
+    return IntMatrix(h, cols=n), IntMatrix(u, cols=m)
 
 
 def _xgcd(a, b):
@@ -222,69 +163,38 @@ def _sparse_hnf(rows):
     return {c: basis[c] for c in order}
 
 
-def det(a: IntMatrix) -> int:
-    """Determinant by the Bareiss fraction-free elimination (exact)."""
-    if a.rows != a.cols:
-        raise ValueError("determinant needs a square matrix")
-    n = a.rows
-    if n == 0:
-        return 1
-    m = [row[:] for row in a.entries]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-def _pivot_columns(h: IntMatrix):
-    pivots = []
-    for row in h.entries:
-        p = next((j for j, x in enumerate(row) if x != 0), None)
-        if p is None:
-            break
-        pivots.append(p)
-    return pivots
-
-
 def solve_diophantine(a: IntMatrix, b):
     """Some integer solution ``x`` of ``a @ x = b``, or ``None``.
 
-    Decided via the Hermite normal form of the transpose: the columns of
-    ``a`` span an integer lattice, ``b`` is expressed over the HNF basis by
-    forward substitution (exact division required at every pivot), and the
-    substitution coefficients are pulled back through the transform matrix.
-    The answer is exact in both directions: a returned vector satisfies the
-    system, and ``None`` means no integer solution exists.
+    The columns of ``a`` span an integer lattice.  :func:`_sparse_hnf` runs
+    on those columns, column ``j`` tagged by a unit entry at ``a.rows + j``,
+    so every basis row is ``(a @ t, t)`` for the integer combination ``t``
+    of columns it stands for.  ``b`` is reduced at its least column by the
+    basis row with that pivot, the quotient exact at every step.  When the
+    ``a.rows`` leading entries are cleared, ``a @ x = b`` holds for ``x``
+    minus what is left in the tag columns.  A least column without a pivot
+    row, or a pivot that does not divide, means that ``b`` is outside the
+    lattice.  The answer is exact in both directions: a returned vector
+    satisfies the system, and ``None`` means no integer solution exists.
     """
-    b = [int(x) for x in b]
+    b = list(b)
+    for x in b:
+        if not isinstance(x, int):
+            raise TypeError(f"integer right-hand side only, got {type(x).__name__}")
     if len(b) != a.rows:
         raise ValueError("dimension mismatch between matrix and right-hand side")
-    h, u = hnf(a.transpose())
-    pivots = _pivot_columns(h)
-    residual = b[:]
-    coeffs = [0] * a.cols
-    for i, p in enumerate(pivots):
-        pivot = h.entries[i][p]
-        q, rem = divmod(residual[p], pivot)
+    m = a.rows
+    basis = _sparse_hnf(
+        {**{i: row[j] for i, row in enumerate(a.entries) if row[j]}, m + j: 1}
+        for j in range(a.cols)
+    )
+    residual = {i: x for i, x in enumerate(b) if x}
+    while residual and (c := min(residual)) < m:
+        top = basis.get(c)
+        if top is None:
+            return None
+        q, rem = divmod(residual[c], top[c])
         if rem:
             return None
-        coeffs[i] = q
-        if q:
-            residual = [x - q * y for x, y in zip(residual, h.entries[i])]
-    if any(residual):
-        return None
-    # x = U^T coeffs
-    return [
-        sum(coeffs[i] * u.entries[i][j] for i in range(a.cols)) for j in range(a.cols)
-    ]
+        _add_multiple(residual, -q, top)
+    return [-residual.get(m + j, 0) for j in range(a.cols)]

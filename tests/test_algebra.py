@@ -32,6 +32,7 @@ from chordcalc.diagrams import (
 from chordcalc.intlinalg import IntMatrix, hnf
 from chordcalc.parity import psi_module
 from chordcalc.surgery import beta, weight
+from dense_hnf import dense_hnf
 
 
 def fkey(word, framing):
@@ -88,6 +89,15 @@ def test_element_degrees_and_parts():
 def test_element_rejects_foreign_keys():
     with pytest.raises(KindMismatchError):
         ModuleElement("double", [(fkey("A A", {"A": 0}), 1)])
+
+
+def test_element_refuses_non_integer_coefficients():
+    # these used to be truncated through int(): 1.9 stored 1, "3" stored 3
+    key = fkey("A A", {"A": 0})
+    for bad in (1.9, "3", Fraction(1, 2)):
+        with pytest.raises(TypeError):
+            ModuleElement("framed", [(key, bad)])
+    assert ModuleElement("framed", {key: 3}).items() == ((key, 3),)
 
 
 # --- 4T generators ---------------------------------------------------------------
@@ -460,8 +470,8 @@ def densify(row, width):
 )
 def test_integer_lattice_is_the_hnf_of_the_generators(kind, n):
     # the lattice build runs the sparse engine on sparse rows; its basis,
-    # written out densely, must be the nonzero rows of the dense hnf (with
-    # transform) of the same generator matrix
+    # written out densely, must be the nonzero rows of the dense oracle's hnf
+    # of the same generator matrix, and hnf must give that H too
     index, basis = _integer_lattice(kind, n)
     rows = set()
     for gen in generate_4T(kind, n, include_zero=False):
@@ -472,15 +482,17 @@ def test_integer_lattice_is_the_hnf_of_the_generators(kind, n):
     if not rows:
         assert basis == {}
         return
-    h, _u = hnf(IntMatrix(sorted(rows), cols=len(index)))
-    nonzero = [tuple(row) for row in h.entries if any(row)]
+    a = IntMatrix(sorted(rows), cols=len(index))
+    h = dense_hnf(a.entries, a.cols)
+    assert hnf(a)[0].entries == h
+    nonzero = [tuple(row) for row in h if any(row)]
     assert [tuple(densify(row, len(index))) for row in basis.values()] == nonzero
     assert list(basis) == [next(j for j, x in enumerate(row) if x) for row in nonzero]
     assert all(all(row.values()) for row in basis.values())
 
 
 # (columns, rank, [(pivot column, pivot) for every pivot > 1]) of each lattice;
-# the dense hnf gives the same figures
+# the dense oracle's hnf gives the same figures
 LATTICE_SHAPES = {
     ("framed", 2): (6, 1, []),
     ("framed", 3): (28, 16, []),

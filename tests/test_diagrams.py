@@ -359,25 +359,6 @@ def test_linear_no_rotation():
     assert a.key() != b.key()
 
 
-def test_canonicalize_functions_dispatch():
-    from chordcalc.diagrams import (
-        canonicalize_double,
-        canonicalize_framed,
-        canonicalize_linear,
-    )
-
-    d = fcd("A A", {"A": 1})
-    assert canonicalize_framed(d) == d.key()
-    dd = DoubleChordDiagram(("A",), ("A",))
-    assert canonicalize_double(dd) == dd.key()
-    g = FramedLinearDiagram(("A", "A"), {"A": 0})
-    h = DoubleLinearDiagram((), ("A", "A"))
-    assert canonicalize_linear(g) == g.key()
-    assert canonicalize_linear(h) == h.key()
-    with pytest.raises(TypeError):
-        canonicalize_linear(d)
-
-
 # --- validation ---------------------------------------------------------------
 
 

@@ -1,8 +1,8 @@
 """Hermite normal form and Diophantine solving, with independent oracles.
 
 The HNF post-conditions are recomputed here from scratch: a local matrix
-product checks H = U A, and an exact fraction Gaussian determinant checks
-that U is unimodular.
+product checks H = U A, an exact fraction Gaussian determinant checks that U
+is unimodular, and the dense elimination in ``dense_hnf`` gives the unique H.
 """
 
 import random
@@ -11,7 +11,8 @@ from fractions import Fraction
 import pytest
 
 from chordcalc import intlinalg
-from chordcalc.intlinalg import IntMatrix, det, hnf, solve_diophantine
+from chordcalc.intlinalg import IntMatrix, _sparse_hnf, hnf, solve_diophantine
+from dense_hnf import dense_hnf
 
 
 # --- oracles ---------------------------------------------------------------
@@ -84,14 +85,13 @@ def test_matmul_and_transpose():
     a = IntMatrix([[1, 2], [3, 4]])
     b = IntMatrix([[0, 1], [1, 0]])
     assert (a @ b).entries == [[2, 1], [4, 3]]
-    assert a.transpose().entries == [[1, 3], [2, 4]]
 
 
 # --- hnf ---------------------------------------------------------------------
 
 
 def test_hnf_identity():
-    a = IntMatrix.identity(3)
+    a = IntMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     h, u = hnf(a)
     assert h == a
     assert u == a
@@ -113,7 +113,7 @@ def test_hnf_properties_random():
         assert matmul(u.entries, a.entries) == h.entries
         assert abs(fraction_det(u.entries)) == 1
         assert is_hnf_shape(h)
-        assert hnf(a, transform=False) == (h, None)
+        assert h.entries == dense_hnf(a.entries, a.cols)
 
 
 def random_relation_matrix(rng):
@@ -136,9 +136,16 @@ def random_relation_matrix(rng):
     return IntMatrix(entries, cols=cols)
 
 
+def densify(row, width):
+    dense = [0] * width
+    for c, x in row.items():
+        dense[c] = x
+    return dense
+
+
 def test_sparse_hnf_matches_the_dense_path(monkeypatch):
-    # transform=False runs the sparse echelon; the dense elimination behind
-    # transform=True is its oracle, and the HNF is unique, so H must agree
+    # the HNF is unique, so the sparse echelon must give the dense oracle's H,
+    # both on the bare rows (the lattice path) and on [A | I] inside hnf
     xgcd_calls = []
     xgcd = intlinalg._xgcd
     monkeypatch.setattr(
@@ -148,11 +155,16 @@ def test_sparse_hnf_matches_the_dense_path(monkeypatch):
     big_pivots = 0
     for _ in range(150):
         a = random_relation_matrix(rng)
-        h, _u = hnf(a)
-        assert hnf(a, transform=False) == (h, None)
-        big_pivots += any(
-            next((x for x in row if x), 1) > 1 for row in h.entries
-        )
+        expected = dense_hnf(a.entries, a.cols)
+        nonzero = [row for row in expected if any(row)]
+        basis = _sparse_hnf({c: x for c, x in enumerate(row) if x} for row in a.entries)
+        assert [densify(row, a.cols) for row in basis.values()] == nonzero
+        assert list(basis) == [next(j for j, x in enumerate(row) if x) for row in nonzero]
+        h, u = hnf(a)
+        assert h.entries == expected
+        assert matmul(u.entries, a.entries) == h.entries
+        assert abs(fraction_det(u.entries)) == 1
+        big_pivots += any(row[p] > 1 for p, row in basis.items())
     # both the extended-gcd combination and a pivot > 1 were reached
     assert xgcd_calls
     assert big_pivots
@@ -166,12 +178,12 @@ def test_hnf_derived_example():
     assert abs(fraction_det(u.entries)) == 1
 
 
-def test_det_matches_fraction_oracle():
-    rng = random.Random(99)
-    for _ in range(50):
-        n = rng.randint(1, 5)
-        rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
-        assert det(IntMatrix(rows)) == fraction_det(rows)
+def test_hnf_edge_cases():
+    h, u = hnf(IntMatrix([], cols=4))
+    assert (h.rows, h.cols, u.rows, u.cols) == (0, 4, 0, 0)
+    h, u = hnf(IntMatrix([[], []]))
+    assert (h.entries, h.cols) == ([[], []], 0)
+    assert u.entries == [[1, 0], [0, 1]]
 
 
 # --- solve_diophantine ---------------------------------------------------------
@@ -182,7 +194,7 @@ def apply(a, x):
 
 
 def test_solve_identity():
-    a = IntMatrix.identity(4)
+    a = IntMatrix([[int(i == j) for j in range(4)] for i in range(4)])
     b = [3, -1, 0, 7]
     assert solve_diophantine(a, b) == b
 
@@ -222,6 +234,56 @@ def test_solve_outside_column_span():
 
 
 def test_solve_zero_matrix():
-    a = IntMatrix.zeros(3, 2)
+    a = IntMatrix([[0, 0], [0, 0], [0, 0]])
     assert solve_diophantine(a, [0, 0, 0]) == [0, 0]
     assert solve_diophantine(a, [1, 0, 0]) is None
+
+
+def test_solve_edge_cases():
+    # no rows: every x solves; no columns: only b = 0 is reached
+    assert solve_diophantine(IntMatrix([], cols=3), []) == [0, 0, 0]
+    assert solve_diophantine(IntMatrix([[], []]), [0, 0]) == []
+    assert solve_diophantine(IntMatrix([[], []]), [0, 1]) is None
+
+
+def test_solve_refuses_non_integer_right_hand_sides():
+    # these used to be truncated through int(): 2.7 -> [1], "4" -> [2]
+    for bad in (2.7, "4", None):
+        with pytest.raises(TypeError):
+            solve_diophantine(IntMatrix([[2]]), [bad])
+
+
+def dense_solvable(a, b):
+    """Whether ``a @ x = b`` has an integer solution: ``b`` reduced over the
+    dense HNF of the columns of ``a``, exact division at every pivot."""
+    residual = list(b)
+    columns = [[row[j] for row in a.entries] for j in range(a.cols)]
+    for row in dense_hnf(columns, a.rows):
+        p = next((j for j, x in enumerate(row) if x), None)
+        if p is None:
+            break
+        q, rem = divmod(residual[p], row[p])
+        if rem:
+            return False
+        residual = [x - q * y for x, y in zip(residual, row)]
+    return not any(residual)
+
+
+def test_solve_matches_the_dense_oracle():
+    # planted solutions are always solvable; a +-1 miss in one entry, and
+    # twice that miss, is solvable for about a third of the matrices
+    rng = random.Random(20261019)
+    answers = set()
+    for _ in range(150):
+        a = random_relation_matrix(rng)
+        b = apply(a, [rng.randint(-3, 3) for _ in range(a.cols)])
+        near = list(b)
+        near[rng.randrange(a.rows)] += rng.choice((1, -1))
+        for rhs in (b, near, [2 * x for x in near]):
+            x = solve_diophantine(a, rhs)
+            assert (x is not None) == dense_solvable(a, rhs)
+            if x is not None:
+                assert apply(a, x) == rhs
+            answers.add(x is not None)
+        assert solve_diophantine(a, b) is not None
+    assert answers == {True, False}
