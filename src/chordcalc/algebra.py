@@ -31,7 +31,16 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .diagrams import KINDS, _CANONICALIZERS, CanonicalKey, enumerate_diagrams
+from .diagrams import (
+    _CANONICALIZERS,
+    KINDS,
+    CanonicalKey,
+    _least_circle_pair,
+    _least_rotation,
+    _numbered,
+    _relabel_tokens,
+    enumerate_diagrams,
+)
 from .intlinalg import _add_multiple, _sparse_hnf
 
 #: Largest degree at which quotient equality is decided by default.  Above
@@ -194,9 +203,24 @@ class RelationGenerator:
     slide_pairs: tuple
 
 
-def _moves(kind, base):
-    """Yield every (a, occ, b, placements, signs, pairs) slide datum of a base
-    key.
+def _moves(kind, n):
+    """Yield a ``(base, a, occ, b, placements, signs, pairs)`` slide datum of
+    every degree-``n`` base key, moving endpoint and target chord, except the
+    slides whose relation an earlier datum already derived.
+
+    A 4T relation is fixed by the punctured diagram, the base with the moving
+    endpoint removed, and by the target chord ``b`` (Bar-Natan, Topology 34,
+    1995): an isomorphism of punctured diagrams that carries ``b`` to ``b'``
+    carries the four placements of one slide to those of the other.  So the
+    punctured word is canonicalized once per moving endpoint, and a slide is
+    skipped when the canonical punctured payload and the canonical number of
+    ``b`` were seen before in this degree.  For a framing-1 target on a
+    circle the signs ``(1, -1, -1, 1)`` tell ``b``'s two endpoints apart,
+    and a rotation may exchange which comes first, so there the cyclic
+    offset from the moving chord's remaining endpoint to ``b``'s first one
+    is part of the datum too.  A skipped slide repeats the signature and the
+    2T pairs of an earlier one, and the first slide of each relation is
+    always yielded, so what the callers build is unchanged.
 
     Placements are sliced from the key's own words: chord numbers for the
     two-word kinds, ``(num, framing)`` tokens for the one-word kinds.  A
@@ -205,74 +229,94 @@ def _moves(kind, base):
     """
     canon = _CANONICALIZERS[kind]
     one_word = kind in ("framed", "linear")
-    words = (base.payload,) if one_word else base.payload
-    framing = dict(base.payload) if one_word else {}
-    ends = {}  # chord number -> its two (word, position) endpoints, in order
-    for wi, word in enumerate(words):
-        for p, tok in enumerate(word):
-            ends.setdefault(tok[0] if one_word else tok, []).append((wi, p))
-    for a, a_ends in ends.items():
-        for occ, (xwi, xp) in enumerate(a_ends):
-            word = words[xwi]
-            tok = word[xp]
-            stripped = words[:xwi] + (word[:xp] + word[xp + 1 :],) + words[xwi + 1 :]
-            if one_word:
-                flipped_tok = (a, tok[1] ^ 1)
-                flipped = (tuple(flipped_tok if t[0] == a else t for t in stripped[0]),)
-            for b, b_ends in ends.items():
-                if b == a:
-                    continue
-                slots = []
-                for wi, p in b_ends:
-                    if wi == xwi and p > xp:
-                        p -= 1
-                    slots += ((wi, p), (wi, p + 1))
-                flip_far_side = framing.get(b) == 1
-                far = (flipped, flipped_tok) if flip_far_side else (stripped, tok)
-                placements = []
-                for (wi, s), (ws, t) in zip(slots, ((stripped, tok), (stripped, tok), far, far)):
-                    w = ws[wi]
-                    placements.append(canon(*ws[:wi], w[:s] + (t,) + w[s:], *ws[wi + 1 :]))
-                placements = tuple(placements)
-                if flip_far_side:
-                    signs = (1, -1, -1, 1)
-                    pairs = (
-                        tuple(sorted((placements[0], placements[2]))),
-                        tuple(sorted((placements[1], placements[3]))),
-                    )
+    seen = set()
+    for base in enumerate_diagrams(kind, n):
+        # a canonical key numbers its chords by first occurrence, so the
+        # labels of its words are already the chord numbers
+        words = (base.payload,) if one_word else base.payload
+        framing = dict(base.payload) if one_word else {}
+        ends = {}  # chord number -> its two (word, position) endpoints, in order
+        for wi, word in enumerate(words):
+            for p, tok in enumerate(word):
+                ends.setdefault(tok[0] if one_word else tok, []).append((wi, p))
+        for a, a_ends in ends.items():
+            for occ, (xwi, xp) in enumerate(a_ends):
+                word = words[xwi]
+                tok = word[xp]
+                stripped = words[:xwi] + (word[:xp] + word[xp + 1 :],) + words[xwi + 1 :]
+                if kind == "framed":
+                    punctured, ties = _least_rotation(((stripped[0], {}),))
+                    numbering = ties[0][1]
+                    # where the other endpoint of a is left in the stripped word
+                    rest = a_ends[1][1] - 1 if occ == 0 else a_ends[0][1]
+                elif kind == "double":
+                    punctured, numbering = _least_circle_pair(*stripped)
                 else:
-                    signs = (1, -1, 1, -1)
-                    pairs = (
-                        tuple(sorted((placements[0], placements[3]))),
-                        tuple(sorted((placements[1], placements[2]))),
+                    numbering = {}
+                    punctured = tuple(
+                        _relabel_tokens(w, numbering) if one_word else _numbered(w, numbering)
+                        for w in stripped
                     )
-                yield a, occ, b, placements, signs, pairs
+                if one_word:
+                    flipped_tok = (a, tok[1] ^ 1)
+                    flipped = (tuple(flipped_tok if t[0] == a else t for t in stripped[0]),)
+                for b, b_ends in ends.items():
+                    if b == a:
+                        continue
+                    slots = []
+                    for wi, p in b_ends:
+                        if wi == xwi and p > xp:
+                            p -= 1
+                        slots += ((wi, p), (wi, p + 1))
+                    flip_far_side = framing.get(b) == 1
+                    datum = (punctured, numbering[b])
+                    if flip_far_side and kind == "framed":
+                        datum += ((slots[0][1] - rest) % len(stripped[0]),)
+                    if datum in seen:
+                        continue
+                    seen.add(datum)
+                    far = (flipped, flipped_tok) if flip_far_side else (stripped, tok)
+                    placements = []
+                    for (wi, s), (ws, t) in zip(slots, ((stripped, tok), (stripped, tok), far, far)):
+                        w = ws[wi]
+                        placements.append(canon(*ws[:wi], w[:s] + (t,) + w[s:], *ws[wi + 1 :]))
+                    placements = tuple(placements)
+                    if flip_far_side:
+                        signs = (1, -1, -1, 1)
+                        pairs = (
+                            tuple(sorted((placements[0], placements[2]))),
+                            tuple(sorted((placements[1], placements[3]))),
+                        )
+                    else:
+                        signs = (1, -1, 1, -1)
+                        pairs = (
+                            tuple(sorted((placements[0], placements[3]))),
+                            tuple(sorted((placements[1], placements[2]))),
+                        )
+                    yield base, a, occ, b, placements, signs, pairs
 
 
 @lru_cache(maxsize=None)
 def _all_generators(kind, n):
     generators = []
     seen = set()
-    for base in enumerate_diagrams(kind, n):
-        # a canonical key numbers its chords by first occurrence, so the
-        # labels of its words are already the chord numbers
-        for a, occ, b, placements, signs, pairs in _moves(kind, base):
-            signature = tuple(sorted(zip(placements, signs)))
-            if signature in seen:
-                continue
-            seen.add(signature)
-            generators.append(
-                RelationGenerator(
-                    element=ModuleElement(kind, zip(placements, signs)),
-                    base=base,
-                    moving_chord=a,
-                    occurrence=occ,
-                    target_chord=b,
-                    placements=placements,
-                    signs=signs,
-                    slide_pairs=pairs,
-                )
+    for base, a, occ, b, placements, signs, pairs in _moves(kind, n):
+        signature = tuple(sorted(zip(placements, signs)))
+        if signature in seen:
+            continue
+        seen.add(signature)
+        generators.append(
+            RelationGenerator(
+                element=ModuleElement(kind, zip(placements, signs)),
+                base=base,
+                moving_chord=a,
+                occurrence=occ,
+                target_chord=b,
+                placements=placements,
+                signs=signs,
+                slide_pairs=pairs,
             )
+        )
     return tuple(generators)
 
 
@@ -282,9 +326,16 @@ def generate_4T(kind, n, include_zero=True):
 
     Every ordered choice of a base diagram, a moving endpoint of one chord,
     and a distinct target chord contributes one generator; degenerate
-    configurations are kept.  Generators whose four terms cancel to the zero
-    element are included unless ``include_zero`` is false.  ``n < 2`` yields
-    nothing (a relation needs two chords); ``n < 0`` raises ``ValueError``.
+    configurations are kept.  The choices are taken in order of base key,
+    and each generator records the first choice that derives it.  A choice
+    whose punctured diagram (the base without the moving endpoint) and
+    target chord match an earlier choice's up to isomorphism is skipped
+    before its placements are canonicalized: it derives the same relation
+    again (see ``_moves``), so the result is the same as without the skip.
+    At framed n = 4 that leaves 851 of 5,616 choices to build.  Generators
+    whose four terms cancel to the zero element are included unless
+    ``include_zero`` is false.  ``n < 2`` yields nothing (a relation needs
+    two chords); ``n < 0`` raises ``ValueError``.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")
@@ -304,9 +355,8 @@ def generate_2T_pairs(kind, n):
     if kind not in ("double", "dlinear"):
         raise ValueError("2T pairs are generated for the double and dlinear kinds")
     pairs = set()
-    for base in enumerate_diagrams(kind, n):
-        for _a, _occ, _b, _placements, _signs, move_pairs in _moves(kind, base):
-            pairs.update(move_pairs)
+    for *_slide, move_pairs in _moves(kind, n):
+        pairs.update(move_pairs)
     return tuple(sorted(pairs))
 
 

@@ -464,12 +464,20 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if text:
-        print(text)
+        # the file first, so that it is complete even if stdout's reader
+        # closes early
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
+        print(text)
     return code
 
 
 def console_main():
+    import signal  # only the process entry point needs it, not library users
+
+    if hasattr(signal, "SIGPIPE"):
+        # a reader that closes early (``| head``) ends the process quietly,
+        # as it ends other filters, instead of a BrokenPipeError traceback
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     raise SystemExit(main())

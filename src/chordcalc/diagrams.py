@@ -287,9 +287,14 @@ def _canon_framed(tokens) -> CanonicalKey:
     return CanonicalKey("framed", best)
 
 
-@lru_cache(maxsize=None)
-def _canon_double(w1, w2) -> CanonicalKey:
-    # The key is the least _relabel_pair(ra, rb) = (t1, t2) over both circle
+def _least_circle_pair(w1, w2):
+    """The least relabelled pair of two circle words, and a numbering of
+    their labels that attains it.
+
+    The words need not form a diagram: a label may occur once, as in a
+    diagram with one endpoint removed.
+    """
+    # The pair is the least _relabel_pair(ra, rb) = (t1, t2) over both circle
     # orders and all rotations ra, rb.  Pairs compare by t1 first, and t1
     # depends on ra alone, so the least t1 is taken over the rotations of
     # both words; t2 is then the least rotation of the other word over the
@@ -299,8 +304,13 @@ def _canon_double(w1, w2) -> CanonicalKey:
     # second stage only for a word with many equal rotations.
     words = (tuple(zip(w1, itertools.repeat(0))), tuple(zip(w2, itertools.repeat(0))))
     best1, ties = _least_rotation(((words[0], {}), (words[1], {})))
-    best2, _ = _least_rotation(tuple((words[1 - ci], numbering) for ci, numbering in ties))
-    return CanonicalKey("double", (tuple([n for n, _ in best1]), tuple([n for n, _ in best2])))
+    best2, ties = _least_rotation(tuple((words[1 - ci], numbering) for ci, numbering in ties))
+    return (tuple([n for n, _ in best1]), tuple([n for n, _ in best2])), ties[0][1]
+
+
+@lru_cache(maxsize=None)
+def _canon_double(w1, w2) -> CanonicalKey:
+    return CanonicalKey("double", _least_circle_pair(w1, w2)[0])
 
 
 @lru_cache(maxsize=None)

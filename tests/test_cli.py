@@ -1,5 +1,6 @@
 """The text grammar, command dispatch, exit codes, and output determinism."""
 
+import os
 import random
 import subprocess
 import sys
@@ -367,3 +368,25 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "1\n"
+
+
+def test_closed_stdout_ends_quietly(tmp_path, capsys):
+    # the reader end of stdout is closed before the command starts, as when
+    # `| head` has already exited; --out is still written in full
+    target = tmp_path / "result.txt"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "chordcalc", "--out", str(target),
+             "enumerate", "--kind", "linear", "--degree", "2"],
+            cwd=Path(__file__).resolve().parents[1] / "src",
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode != 0
+    _code, out, _ = run_main(capsys, "enumerate", "--kind", "linear", "--degree", "2")
+    assert target.read_text() == out
