@@ -8,6 +8,7 @@ Grammar::
     diagram  := "cd:" cdword | "lcd:" cdword
               | "dcd:" cdword "|" cdword | "dlcd:" cdword "|" cdword
     melem    := INT "[" diagram "]" ("+" INT "[" diagram "]")*
+    INT      := "-"? [0-9]+        (ASCII digits only)
 
 Framing digits are mandatory in the framed kinds (``cd``, ``lcd``) and
 forbidden in the double kinds (``dcd``, ``dlcd``); a double-kind label may
@@ -37,11 +38,12 @@ from .diagrams import (
     FramedLinearDiagram,
     InvalidArgumentError,
     InvalidDiagramError,
+    _CANONICALIZERS,
+    _SPELLED,
     closure,
     coproduct,
     enumerate_diagrams,
     from_key,
-    spell_label,
 )
 from .parity import parity_module
 from .surgery import beta, beta_framed, weight
@@ -55,8 +57,10 @@ from .sums import (
 
 _PREFIX_TO_KIND = {"cd": "framed", "lcd": "linear", "dcd": "double", "dlcd": "dlinear"}
 _KIND_TO_PREFIX = {v: k for k, v in _PREFIX_TO_KIND.items()}
+_PREFIX_RE = re.compile(r"\s*(dlcd|dcd|lcd|cd):")
 _LABEL_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*\Z")
 _TOKEN_RE = re.compile(r"\S+")
+_FRAMING = {"0": 0, "1": 1}
 
 
 class ParseError(ValueError):
@@ -81,14 +85,17 @@ def parse(text: str):
     offset = len(text) - len(stripped)
     if not stripped:
         raise ParseError("empty input", offset + 1)
-    if stripped[0] == "-" or stripped[0].isdigit():
+    if stripped[0] in "-0123456789":
         return _parse_element(text)
-    return _parse_diagram(text, 0).canonical()
+    return from_key(_parse_key(text, 0))
 
 
-def _parse_diagram(text, offset):
-    """The validated diagram as written, not yet canonicalized."""
-    m = re.match(r"\s*(dlcd|dcd|lcd|cd):", text)
+def _parse_key(text, offset):
+    """The canonical key of a diagram text whose first character is at
+    column ``offset + 1``.  One pass over the tokens validates the text and
+    numbers its labels 1, 2, ... in order of first appearance, so that the
+    canonicalizer and its cache see every relabelling as the same words."""
+    m = _PREFIX_RE.match(text)
     if not m:
         col = offset + len(text) - len(text.lstrip()) + 1
         raise ParseError("expected a diagram prefix cd:, lcd:, dcd:, or dlcd:", col)
@@ -96,80 +103,67 @@ def _parse_diagram(text, offset):
     kind = _PREFIX_TO_KIND[prefix]
     body = text[m.end() :]
     body_offset = offset + m.end()
-    if kind in ("framed", "linear"):
-        if "|" in body:
-            raise ParseError(
-                f"'|' is not allowed in a {prefix} diagram", body_offset + body.index("|") + 1
-            )
-        word, framing = _parse_framed_word(body, body_offset)
-        cls = FramedChordDiagram if kind == "framed" else FramedLinearDiagram
-        return cls(word, framing)
+    framed = kind in ("framed", "linear")
     bar = body.find("|")
-    if bar < 0:
-        raise ParseError(f"a {prefix} diagram needs one '|'", body_offset + len(body) + 1)
-    second_bar = body.find("|", bar + 1)
-    if second_bar >= 0:
-        raise ParseError("only one '|' is allowed", body_offset + second_bar + 1)
-    word1 = _parse_bare_word(body[:bar], body_offset)
-    word2 = _parse_bare_word(body[bar + 1 :], body_offset + bar + 1)
-    _check_counts(word1 + word2, body_offset + len(body))
-    cls = DoubleChordDiagram if kind == "double" else DoubleLinearDiagram
-    return cls(word1, word2)
-
-
-def _parse_framed_word(body, offset):
-    word = []
-    framing = {}
-    first_col = {}
-    for m in _TOKEN_RE.finditer(body):
-        token, col = m.group(0), offset + m.start() + 1
-        if len(token) < 2 or token[-1] not in "01":
-            raise ParseError(f"token {token!r} is missing its framing digit", col)
-        label, fr = token[:-1], int(token[-1])
-        if not _LABEL_RE.match(label):
-            raise ParseError(f"bad chord label {label!r}", col)
-        if label in framing and framing[label] != fr:
-            raise ParseError(
-                f"framing mismatch for chord {label!r}: {fr} here, "
-                f"{framing[label]} at column {first_col[label]}",
-                col,
-            )
-        if label not in framing:
-            framing[label] = fr
-            first_col[label] = col
-        word.append(label)
-    _check_counts(tuple(word), offset + len(body))
-    return tuple(word), framing
-
-
-def _parse_bare_word(body, offset):
-    word = []
-    for m in _TOKEN_RE.finditer(body):
-        token, col = m.group(0), offset + m.start() + 1
-        if not _LABEL_RE.match(token):
-            raise ParseError(f"bad chord label {token!r}", col)
-        if token[-1] in "01":
-            raise ParseError(
-                f"token {token!r} ends in a framing digit, which double-kind labels may not",
-                col,
-            )
-        word.append(token)
-    return tuple(word)
-
-
-def _check_counts(word, end_col):
-    counts = {}
-    for lab in word:
-        counts[lab] = counts.get(lab, 0) + 1
-    bad = sorted(lab for lab, c in counts.items() if c != 2)
+    if framed:
+        if bar >= 0:
+            raise ParseError(f"'|' is not allowed in a {prefix} diagram", body_offset + bar + 1)
+        sides = ((body, body_offset),)
+    else:
+        if bar < 0:
+            raise ParseError(f"a {prefix} diagram needs one '|'", body_offset + len(body) + 1)
+        second_bar = body.find("|", bar + 1)
+        if second_bar >= 0:
+            raise ParseError("only one '|' is allowed", body_offset + second_bar + 1)
+        sides = ((body[:bar], body_offset), (body[bar + 1 :], body_offset + bar + 1))
+    seen = {}  # label -> [number, framing, index of its first token on its side, count]
+    words = []
+    for side, side_offset in sides:
+        word = []
+        for i, token in enumerate(side.split()):
+            if framed:
+                fr = _FRAMING.get(token[-1]) if len(token) > 1 else None
+                if fr is None:
+                    col = _column(side, side_offset, i)
+                    raise ParseError(f"token {token!r} is missing its framing digit", col)
+                label = token[:-1]
+            else:
+                label, fr = token, 0
+            entry = seen.get(label)
+            if entry is None:  # a label seen before has passed these checks
+                if not _LABEL_RE.match(label):
+                    raise ParseError(f"bad chord label {label!r}", _column(side, side_offset, i))
+                if not framed and token[-1] in "01":
+                    raise ParseError(
+                        f"token {token!r} ends in a framing digit, which double-kind labels may not",
+                        _column(side, side_offset, i),
+                    )
+                entry = seen[label] = [len(seen) + 1, fr, i, 0]
+            elif entry[1] != fr:
+                raise ParseError(
+                    f"framing mismatch for chord {label!r}: {fr} here, "
+                    f"{entry[1]} at column {_column(side, side_offset, entry[2])}",
+                    _column(side, side_offset, i),
+                )
+            entry[3] += 1
+            word.append((entry[0], fr) if framed else entry[0])
+        words.append(tuple(word))
+    bad = sorted(label for label, entry in seen.items() if entry[3] != 2)
     if bad:
         raise ParseError(
             "every chord must occur exactly twice; offending labels: " + ", ".join(bad),
-            end_col,
+            body_offset + len(body),
         )
+    return _CANONICALIZERS[kind](*words)
 
 
-_INT_RE = re.compile(r"-?\d+")
+def _column(side, offset, i):
+    """The column of the ``i``-th token of ``side``, which starts at column ``offset + 1``."""
+    return offset + 1 + [m.start() for m in _TOKEN_RE.finditer(side)][i]
+
+
+_INT_RE = re.compile(r"-?[0-9]+")
+_SPACE_RE = re.compile(r"\s*")
 
 
 def _parse_element(text):
@@ -177,31 +171,23 @@ def _parse_element(text):
     terms = []
     kind = None
     while True:
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
+        pos = _SPACE_RE.match(text, pos).end()
         m = _INT_RE.match(text, pos)
         if not m:
             raise ParseError("expected an integer coefficient", pos + 1)
         coeff = int(m.group(0))
-        pos = m.end()
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
+        pos = _SPACE_RE.match(text, m.end()).end()
         if pos >= len(text) or text[pos] != "[":
             raise ParseError("expected '[' after the coefficient", pos + 1)
         close = text.find("]", pos + 1)
         if close < 0:
             raise ParseError("unclosed '['", pos + 1)
-        diagram = _parse_diagram(text[pos + 1 : close], pos + 1)
-        if kind is None:
-            kind = diagram.kind
-        elif diagram.kind != kind:
-            raise ParseError(
-                f"kind mismatch: {diagram.kind} term in a {kind} element", pos + 2
-            )
-        terms.append((diagram.key(), coeff))
-        pos = close + 1
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
+        key = _parse_key(text[pos + 1 : close], pos + 1)
+        kind = kind or key.kind
+        if key.kind != kind:
+            raise ParseError(f"kind mismatch: {key.kind} term in a {kind} element", pos + 2)
+        terms.append((key, coeff))
+        pos = _SPACE_RE.match(text, close + 1).end()
         if pos >= len(text):
             break
         if text[pos] != "+":
@@ -219,12 +205,10 @@ def format_diagram(obj) -> str:
     key = obj if isinstance(obj, CanonicalKey) else obj.key()
     prefix = _KIND_TO_PREFIX[key.kind] + ":"
     if key.kind in ("framed", "linear"):
-        names = {num: spell_label(num) for num, _ in set(key.payload)}
-        tokens = [f"{names[num]}{fr}" for num, fr in key.payload]
+        tokens = [f"{_SPELLED[num]}{fr}" for num, fr in key.payload]
         return " ".join([prefix] + tokens) if tokens else prefix
-    names = {num: spell_label(num) for num in {*key.payload[0], *key.payload[1]}}
-    side1 = [names[num] for num in key.payload[0]]
-    side2 = [names[num] for num in key.payload[1]]
+    side1 = [_SPELLED[num] for num in key.payload[0]]
+    side2 = [_SPELLED[num] for num in key.payload[1]]
     return " ".join([prefix] + side1 + ["|"] + side2).rstrip()
 
 
@@ -350,8 +334,9 @@ def _cmd_check_4t(args):
         lines.append(f"2T: {'PASS' if two_t.passed else 'FAIL'}")
         ok = kill.passed and two_t.passed
     else:
-        kill = verify.psi_weight_kill(kind, n)
-        span = verify.psi_relation_span(kind, n)
+        images = verify.psi_images(kind, n)
+        kill = verify.psi_weight_kill(kind, n, images)
+        span = verify.psi_relation_span(kind, n, images)
         lines.append(f"generators: {kill.checked}")
         lines.append(f"psi-w-kill: {'PASS' if kill.passed else 'FAIL'}")
         lines.append(f"psi-span: {'PASS' if span.passed else 'FAIL'}")

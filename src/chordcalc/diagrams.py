@@ -216,11 +216,6 @@ def _numbered(word, numbering):
     return tuple(out)
 
 
-def _relabel_pair(w1, w2):
-    numbering = {}
-    return (_numbered(w1, numbering), _numbered(w2, numbering))
-
-
 def _least_rotation(circles):
     """The least relabelled rotation over ``circles``, and the numbering of
     every rotation that attains it.
@@ -294,14 +289,15 @@ def _least_circle_pair(w1, w2):
     The words need not form a diagram: a label may occur once, as in a
     diagram with one endpoint removed.
     """
-    # The pair is the least _relabel_pair(ra, rb) = (t1, t2) over both circle
-    # orders and all rotations ra, rb.  Pairs compare by t1 first, and t1
-    # depends on ra alone, so the least t1 is taken over the rotations of
-    # both words; t2 is then the least rotation of the other word over the
-    # rotations ra that tie for t1, each continuing its own numbering.  Both
-    # stages are one pruned scan of _least_rotation: about 2L head checks
-    # and a few lazy relabellings each, with many ties to carry into the
-    # second stage only for a word with many equal rotations.
+    # The pair is the least (t1, t2), the rotations ra, rb numbered together
+    # by first occurrence, over both circle orders and all rotations.  Pairs
+    # compare by t1 first, and t1 depends on ra alone, so the least t1 is
+    # taken over the rotations of both words; t2 is then the least rotation
+    # of the other word over the rotations ra that tie for t1, each
+    # continuing its own numbering.  Both stages are one pruned scan of
+    # _least_rotation: about 2L head checks and a few lazy relabellings
+    # each, with many ties to carry into the second stage only for a word
+    # with many equal rotations.
     words = (tuple(zip(w1, itertools.repeat(0))), tuple(zip(w2, itertools.repeat(0))))
     best1, ties = _least_rotation(((words[0], {}), (words[1], {})))
     best2, ties = _least_rotation(tuple((words[1 - ci], numbering) for ci, numbering in ties))
@@ -320,7 +316,8 @@ def _canon_linear(tokens) -> CanonicalKey:
 
 @lru_cache(maxsize=None)
 def _canon_dlinear(w1, w2) -> CanonicalKey:
-    return CanonicalKey("dlinear", _relabel_pair(w1, w2))
+    numbering = {}
+    return CanonicalKey("dlinear", (_numbered(w1, numbering), _numbered(w2, numbering)))
 
 
 #: The canonicalizer of each kind: it takes a ``(label, framing)`` token word
@@ -345,16 +342,27 @@ def spell_label(i: int) -> str:
     return "".join(reversed(out))
 
 
+class _Spellings(dict):
+    """``spell_label`` of every chord number looked up, each spelled once."""
+
+    def __missing__(self, num):
+        self[num] = name = spell_label(num)
+        return name
+
+
+_SPELLED = _Spellings()
+
+
 def from_key(key: CanonicalKey):
     """Rebuild a diagram (with spelled labels A, B, C, ...) from its key."""
     if key.kind in ("framed", "linear"):
-        word = tuple(spell_label(num) for num, _ in key.payload)
-        framing = {label: fr for label, (_, fr) in zip(word, key.payload)}
+        word = tuple([_SPELLED[num] for num, _ in key.payload])
+        framing = {_SPELLED[num]: fr for num, fr in key.payload}
         cls = FramedChordDiagram if key.kind == "framed" else FramedLinearDiagram
         return cls(word, framing)
     if key.kind in ("double", "dlinear"):
-        w1 = tuple(spell_label(num) for num in key.payload[0])
-        w2 = tuple(spell_label(num) for num in key.payload[1])
+        w1 = tuple([_SPELLED[num] for num in key.payload[0]])
+        w2 = tuple([_SPELLED[num] for num in key.payload[1]])
         cls = DoubleChordDiagram if key.kind == "double" else DoubleLinearDiagram
         return cls(w1, w2)
     raise ValueError(f"unknown kind {key.kind!r}")

@@ -61,23 +61,27 @@ def _summands(kind, d):
         yield sides, image(w1, w2)
 
 
-def _expansion(kind, word, framing):
-    """The parity image of one framed or linear word as ``{key: count}``.
-
-    The words come from a validated diagram or a canonical key, so every
-    summand is canonicalized directly, without building a diagram object.
-    """
-    canon = _CANONICALIZERS[_PARITY[kind][1]]
-    terms = {}
-    for _first_side, w1, w2 in _split_summands(word, framing):
-        key = canon(w1, w2)
-        terms[key] = terms.get(key, 0) + 1
-    return terms
+def _expansion(kind, terms):
+    """The parity image of ``(canonical key, coefficient)`` terms of a framed
+    or linear kind; every summand is canonicalized directly, without
+    building a diagram object."""
+    image_kind = _PARITY[kind][1]
+    canon = _CANONICALIZERS[image_kind]
+    image = []
+    for key, coeff in terms:
+        counts = {}
+        word = tuple(num for num, _fr in key.payload)
+        for _first_side, w1, w2 in _split_summands(word, dict(key.payload)):
+            summand = canon(w1, w2)
+            counts[summand] = counts.get(summand, 0) + 1
+        image.extend((summand, coeff * count) for summand, count in counts.items())
+    return ModuleElement(image_kind, image)
 
 
 def _psi(kind, d):
-    d = _checked(kind, d)
-    return ModuleElement(_PARITY[kind][1], _expansion(kind, d.word, d.framing))
+    # split the key's numbered word, not the labels as written, so that
+    # every relabelling of a diagram reaches the cache as the same words
+    return _expansion(kind, [(_checked(kind, d).key(), 1)])
 
 
 def _image_kind(kind):
@@ -92,13 +96,8 @@ def parity_module(u: ModuleElement) -> ModuleElement:
     """Linear extension of the parity map to a framed or linear element:
     :func:`psi_module` or :func:`psi_l_module`, chosen by the element's kind.
     """
-    image_kind = _image_kind(u.kind)
-    terms = []
-    for key, coeff in u._terms.items():
-        word = tuple(num for num, _fr in key.payload)
-        for image_key, count in _expansion(u.kind, word, dict(key.payload)).items():
-            terms.append((image_key, coeff * count))
-    return ModuleElement(image_kind, terms)
+    _image_kind(u.kind)
+    return _expansion(u.kind, u._terms.items())
 
 
 def psi_summands(d: FramedChordDiagram):

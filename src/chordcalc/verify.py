@@ -50,30 +50,35 @@ def two_term_beta(kind: str, n: int) -> SweepResult:
     return SweepResult(f"2T beta {kind} n={n}", len(pairs), tuple(failures))
 
 
-def psi_weight_kill(kind: str, n: int) -> SweepResult:
+def psi_images(kind: str, n: int):
+    """Every 4T generator of a framed or linear degree with its parity
+    image.  The two sweeps below take it as ``images``, computed if not
+    given, so that ``check-4t`` expands each generator once."""
+    _image_kind(kind)
+    return [(gen, parity_module(gen.element)) for gen in generate_4T(kind, n)]
+
+
+def psi_weight_kill(kind: str, n: int, images=None) -> SweepResult:
     """The weight of the parity image vanishes on every 4T generator
     (framed or linear kind).  Cheaper necessary half of the span check."""
-    _image_kind(kind)
     failures = []
-    gens = generate_4T(kind, n)
-    for gen in gens:
-        w = weight(parity_module(gen.element))
+    images = psi_images(kind, n) if images is None else images
+    for gen, image in images:
+        w = weight(image)
         if w != 0:
             failures.append((gen.base, gen.moving_chord, gen.occurrence, gen.target_chord, w))
-    return SweepResult(f"psi-w-kill {kind} n={n}", len(gens), tuple(failures))
+    return SweepResult(f"psi-w-kill {kind} n={n}", len(images), tuple(failures))
 
 
-def psi_relation_span(kind: str, n: int) -> SweepResult:
+def psi_relation_span(kind: str, n: int, images=None) -> SweepResult:
     """The parity image of every 4T generator lies in the integer span of
     the image kind's 4T generators (exact Diophantine membership)."""
-    _image_kind(kind)
     failures = []
-    gens = generate_4T(kind, n)
-    for gen in gens:
-        image = parity_module(gen.element)
+    images = psi_images(kind, n) if images is None else images
+    for gen, image in images:
         if not quotient_equal(image, ModuleElement.zero(image.kind)):
             failures.append((gen.base, gen.moving_chord, gen.occurrence, gen.target_chord))
-    return SweepResult(f"psi-span {kind} n={n}", len(gens), tuple(failures))
+    return SweepResult(f"psi-span {kind} n={n}", len(images), tuple(failures))
 
 
 def psi_mass(max_n: int) -> SweepResult:

@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from chordcalc import cli
-from chordcalc.algebra import ModuleElement
+from chordcalc import cli, verify
+from chordcalc.algebra import ModuleElement, generate_4T
 from chordcalc.cli import (
     ParseError,
     format_diagram,
@@ -24,8 +24,9 @@ from chordcalc.diagrams import (
     FramedLinearDiagram,
     InvalidArgumentError,
     enumerate_diagrams,
+    from_key,
 )
-from chordcalc.parity import psi_module
+from chordcalc.parity import parity_module, psi_module
 
 
 # --- parsing -----------------------------------------------------------------
@@ -138,6 +139,172 @@ def test_parse_error_columns():
         parse("1 [cd: A0 A0] + 1 [dcd: B B |]")  # kinds must agree
     with pytest.raises(ParseError):
         parse("")
+
+
+# Every ParseError branch, with the message and column it reports; checks
+# that several branches could fire for are made in this order.
+PARSE_ERRORS = [
+    ("cd: A B A B", "token 'A' is missing its framing digit", 5),
+    ("lcd: A0 B A0 B1", "token 'B' is missing its framing digit", 9),
+    ("cd: 0", "token '0' is missing its framing digit", 5),
+    ("cd: A2 A2", "token 'A2' is missing its framing digit", 5),
+    ("cd: 9A0", "bad chord label '9A'", 5),
+    ("lcd: A_0 A_0", "bad chord label 'A_'", 6),
+    ("dcd: 9A | 9A", "bad chord label '9A'", 6),
+    ("dlcd: A | A+", "bad chord label 'A+'", 11),
+    ("cd: A0 A1", "framing mismatch for chord 'A': 1 here, 0 at column 5", 8),
+    ("lcd: A0 B1 A1 B1", "framing mismatch for chord 'A': 1 here, 0 at column 6", 12),
+    ("2 [cd: X1 X0]", "framing mismatch for chord 'X': 0 here, 1 at column 8", 11),
+    ("cd: A0", "every chord must occur exactly twice; offending labels: A", 6),
+    ("cd: A0 B0 C0 A0", "every chord must occur exactly twice; offending labels: B, C", 15),
+    ("lcd: A0 A0 A0", "every chord must occur exactly twice; offending labels: A", 13),
+    ("dcd: A B B | C", "every chord must occur exactly twice; offending labels: A, C", 14),
+    ("dlcd: Ab Ab Bc | Bc Ca", "every chord must occur exactly twice; offending labels: Ca", 22),
+    ("1 [dcd: A | B]", "every chord must occur exactly twice; offending labels: A, B", 13),
+    ("dcd: A0 | A0", "token 'A0' ends in a framing digit, which double-kind labels may not", 6),
+    ("dlcd: | X1 X1", "token 'X1' ends in a framing digit, which double-kind labels may not", 9),
+    ("cd: A0 | A0", "'|' is not allowed in a cd diagram", 8),
+    ("lcd: |", "'|' is not allowed in a lcd diagram", 6),
+    ("dcd: A A", "a dcd diagram needs one '|'", 9),
+    ("dlcd:", "a dlcd diagram needs one '|'", 6),
+    ("dcd: A | A | B", "only one '|' is allowed", 12),
+    ("dlcd: || ", "only one '|' is allowed", 8),
+    ("xyz: A0 A0", "expected a diagram prefix cd:, lcd:, dcd:, or dlcd:", 1),
+    ("  cd A0 A0", "expected a diagram prefix cd:, lcd:, dcd:, or dlcd:", 3),
+    ("1 [  xcd: ]", "expected a diagram prefix cd:, lcd:, dcd:, or dlcd:", 6),
+    ("3 cd: A0 A0", "expected '[' after the coefficient", 3),
+    ("1 [cd: A0 A0] + 2 (cd:)", "expected '[' after the coefficient", 19),
+    ("1 [cd: A0 A0", "unclosed '['", 3),
+    ("1 [cd:] + 2 [cd: A0", "unclosed '['", 13),
+    ("1 [cd: A0 A0] 2 [cd:]", "expected '+' between terms", 15),
+    ("1 [cd:] x", "expected '+' between terms", 9),
+    ("1 [cd: A0 A0] +", "expected an integer coefficient", 16),
+    ("- [cd:]", "expected an integer coefficient", 1),
+    ("1 [cd:] + + 1 [cd:]", "expected an integer coefficient", 11),
+    ("1 [cd: A0 A0] + 1 [dcd: B B |]", "kind mismatch: double term in a framed element", 20),
+    ("1 [lcd:] + 2 [cd:]", "kind mismatch: framed term in a linear element", 15),
+    ("", "empty input", 1),
+    ("   ", "empty input", 4),
+    ("cd: A B | A", "'|' is not allowed in a cd diagram", 9),
+    ("dcd: A0 | A0 | B", "only one '|' is allowed", 14),
+    ("cd: A0 9B0 A1", "bad chord label '9B'", 8),
+    ("cd: A0 A1 B", "framing mismatch for chord 'A': 1 here, 0 at column 5", 8),
+    ("dcd: A A0 | B", "token 'A0' ends in a framing digit, which double-kind labels may not", 8),
+    ("dcd: B | A A0", "token 'A0' ends in a framing digit, which double-kind labels may not", 12),
+    ("lcd:\tA0  B1\tB0 A0", "framing mismatch for chord 'B': 0 here, 1 at column 10", 13),
+    (
+        "1 [dlcd: x | y] + 1 [dcd: |]",
+        "every chord must occur exactly twice; offending labels: x, y",
+        14,
+    ),
+    ("-2 [lcd: Q1 Q1 R]", "token 'R' is missing its framing digit", 16),
+]
+
+
+@pytest.mark.parametrize("text,message,column", PARSE_ERRORS)
+def test_parse_error_messages_and_columns(text, message, column):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (str(err.value), err.value.column) == (f"column {column}: {message}", column)
+
+
+@pytest.mark.parametrize(
+    "text", ["٣ [cd: A0 A0]", "-٣ [cd: A0 A0]", "1٣ [cd: A0 A0]", "３ [cd:]"]
+)
+def test_coefficients_are_ascii_integers(text, capsys):
+    # the grammar's INT is ASCII; other Unicode digits are not coefficients
+    with pytest.raises(ParseError):
+        parse(text)
+    code, out, err = run_main(capsys, "canon", text)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: column ")
+
+
+def random_label(rng, double):
+    label = rng.choice("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
+    label += "".join(rng.choice("abcXYZ0123456789") for _ in range(rng.randint(0, 3)))
+    return label + "q" if double and label[-1] in "01" else label
+
+
+def written(rng, key):
+    """A text of ``key``'s diagram with random labels and spacing, its
+    circles rotated and, for ``double``, exchanged at random, and the
+    diagram built from the same words by the validated public constructor."""
+    double = key.kind in ("double", "dlinear")
+    names = {}
+    while len(names) < key.n:
+        names.setdefault(random_label(rng, double), None)
+    names = dict(zip(range(1, key.n + 1), names))
+    if double:
+        words = [[names[num] for num in word] for word in key.payload]
+    else:
+        words = [[names[num] for num, _ in key.payload]]
+        framing = {names[num]: fr for num, fr in key.payload}
+    if key.kind in ("framed", "double"):
+        words = [w[r:] + w[:r] for w in words for r in [rng.randrange(len(w) or 1)]]
+    if key.kind == "double" and rng.random() < 0.5:
+        words.reverse()
+
+    def sep():
+        return rng.choice([" ", "  ", "\t", " \n "])
+
+    if double:
+        sides = [sep().join(w) for w in words]
+        text = f"{PREFIX[key.kind]}:{sep()}{sides[0]}{sep()}|{sep()}{sides[1]}"
+        return text, PUBLIC_CLASS[PREFIX[key.kind]](*words)
+    tokens = [f"{lab}{framing[lab]}" for lab in words[0]]
+    text = f"{PREFIX[key.kind]}:{sep()}{sep().join(tokens)}"
+    return text, PUBLIC_CLASS[PREFIX[key.kind]](words[0], framing)
+
+
+PREFIX = {"framed": "cd", "linear": "lcd", "double": "dcd", "dlinear": "dlcd"}
+
+
+@pytest.mark.parametrize("kind", sorted(PREFIX))
+def test_parse_keys_match_the_validated_constructors(kind):
+    # parse numbers the labels as written; the key must not depend on it
+    rng = random.Random(10)
+    for n in range(5):
+        for key in enumerate_diagrams(kind, n):
+            text, d = written(rng, key)
+            assert d.key() == key, text
+            assert parse(text).key() == key, text
+            coeff = rng.choice([-2, 1, 3])
+            assert parse(f"{coeff} [{text}]") == ModuleElement(kind, [(key, coeff)]), text
+
+
+def test_renamings_add_one_cache_entry_per_written_rotation():
+    # labels are numbered as written, so a renamed copy of a written word
+    # reaches the canonicalizer's cache as the same words
+    rng = random.Random(11)
+    framed = FramedChordDiagram(("A", "B", "C", "A", "D", "B", "C", "D"), dict(A=0, B=1, C=0, D=1))
+    double = DoubleChordDiagram(("A", "B", "C", "A"), ("D", "B", "D", "C"))
+    for d in (framed, double):
+        key, canon = d.key(), cli._CANONICALIZERS[d.kind]
+        if d.kind == "framed":
+            writings = [(d.word[r:] + d.word[:r],) for r in range(8)]
+        else:
+            writings = [
+                (w1[r1:] + w1[:r1], w2[r2:] + w2[:r2])
+                for w1, w2 in ((d.word1, d.word2), (d.word2, d.word1))
+                for r1 in range(4)
+                for r2 in range(4)
+            ]
+        for words in writings:
+            before = canon.cache_info().currsize
+            for _ in range(20):
+                names = {}
+                while len(names) < 4:
+                    names.setdefault(random_label(rng, d.kind == "double"), None)
+                names = dict(zip("ABCD", names))
+                if d.kind == "framed":
+                    body = " ".join(f"{names[lab]}{d.framing[lab]}" for lab in words[0])
+                else:
+                    body = " | ".join(" ".join(names[lab] for lab in w) for w in words)
+                text = f"{PREFIX[d.kind]}: {body}"
+                assert repr(parse(text)) == repr(from_key(key)), text
+                assert parse(f"2 [{text}]") == ModuleElement(d.kind, [(key, 2)]), text
+            assert canon.cache_info().currsize - before <= 1, words
 
 
 # --- formatting and round trips -------------------------------------------------
@@ -292,6 +459,22 @@ def test_check_4t_framed(capsys):
     assert code == 0
     assert "psi-w-kill: PASS" in out
     assert "psi-span: PASS" in out
+
+
+def test_check_4t_expands_each_generator_once(monkeypatch, capsys):
+    calls = []
+
+    def counted(element):
+        calls.append(element)
+        return parity_module(element)
+
+    monkeypatch.setattr(verify, "parity_module", counted)
+    for kind in ("framed", "linear"):
+        calls.clear()
+        code, out, _ = run_main(capsys, "check-4t", "--kind", kind, "--degree", "3")
+        assert code == 0
+        assert len(calls) == len(generate_4T(kind, 3)) > 0
+        assert f"generators: {len(calls)}" in out.splitlines()
 
 
 def test_check_4t_rejects_negative_degree(capsys):

@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from chordcalc.cli import format_diagram
 from chordcalc.diagrams import (
     CanonicalKey,
     DoubleChordDiagram,
@@ -19,6 +20,7 @@ from chordcalc.diagrams import (
     InvalidDiagramError,
     _canon_double,
     _canon_framed,
+    _SPELLED,
     closure,
     coproduct,
     enumerate_diagrams,
@@ -442,6 +444,17 @@ def test_spell_label():
     assert [spell_label(i) for i in (1, 2, 26, 27, 28, 52, 53)] == [
         "A", "B", "Z", "AA", "AB", "AZ", "BA",
     ]
+
+
+def test_spelling_table_matches_spell_label():
+    assert [_SPELLED[i] for i in range(60, 0, -1)] == [spell_label(i) for i in range(60, 0, -1)]
+    with pytest.raises(ValueError):
+        _SPELLED[0]
+    assert 0 not in _SPELLED
+    # keys that are not canonical are spelled as before
+    assert format_diagram(CanonicalKey("framed", ((30, 0), (30, 0)))) == "cd: AD0 AD0"
+    rebuilt = from_key(CanonicalKey("dlinear", ((5,), (5,))))
+    assert repr(rebuilt) == "DoubleLinearDiagram(('E',), ('E',))"
 
 
 # --- closure and reversal ------------------------------------------------------
