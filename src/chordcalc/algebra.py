@@ -203,6 +203,11 @@ class RelationGenerator:
     slide_pairs: tuple
 
 
+def _ordered(k1, k2):
+    """Two keys of one kind in key order, compared by payload."""
+    return (k1, k2) if k1.payload <= k2.payload else (k2, k1)
+
+
 def _moves(kind, n):
     """Yield a ``(base, a, occ, b, placements, signs, pairs)`` slide datum of
     every degree-``n`` base key, moving endpoint and target chord, except the
@@ -281,18 +286,13 @@ def _moves(kind, n):
                         w = ws[wi]
                         placements.append(canon(*ws[:wi], w[:s] + (t,) + w[s:], *ws[wi + 1 :]))
                     placements = tuple(placements)
+                    p0, p1, p2, p3 = placements
                     if flip_far_side:
                         signs = (1, -1, -1, 1)
-                        pairs = (
-                            tuple(sorted((placements[0], placements[2]))),
-                            tuple(sorted((placements[1], placements[3]))),
-                        )
+                        pairs = (_ordered(p0, p2), _ordered(p1, p3))
                     else:
                         signs = (1, -1, 1, -1)
-                        pairs = (
-                            tuple(sorted((placements[0], placements[3]))),
-                            tuple(sorted((placements[1], placements[2]))),
-                        )
+                        pairs = (_ordered(p0, p3), _ordered(p1, p2))
                     yield base, a, occ, b, placements, signs, pairs
 
 
@@ -301,7 +301,8 @@ def _all_generators(kind, n):
     generators = []
     seen = set()
     for base, a, occ, b, placements, signs, pairs in _moves(kind, n):
-        signature = tuple(sorted(zip(placements, signs)))
+        # every key here has the same kind, so payloads order them as keys do
+        signature = tuple(sorted([(p.payload, s) for p, s in zip(placements, signs)]))
         if signature in seen:
             continue
         seen.add(signature)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import quotient_equal
+from .algebra import ModuleElement, quotient_equal
 from .diagrams import (
     CanonicalKey,
     DoubleLinearDiagram,
@@ -23,7 +23,7 @@ from .diagrams import (
     enumerate_diagrams,
     from_key,
 )
-from .parity import psi
+from .parity import psi_module
 from .surgery import weight
 
 
@@ -158,7 +158,7 @@ def search_counterexample(max_chords: int):
                             key = _sum_key(k1.payload, a1, k2.payload, a2)
                             w = weights.get(key)
                             if w is None:
-                                w = weights[key] = weight(psi(from_key(key)))
+                                w = weights[key] = weight(psi_module(ModuleElement.single(key)))
                             outcomes.append(((a1, a2), key, w))
                     values = sorted({w for _, _, w in outcomes})
                     if len(values) < 2:
@@ -187,6 +187,6 @@ def witness_quotient_split(witness: SumWitness) -> bool:
     The exact integer-span decision; every weight disagreement must be
     confirmed by it.
     """
-    lhs = psi(from_key(witness.sum_a))
-    rhs = psi(from_key(witness.sum_b))
+    lhs = psi_module(ModuleElement.single(witness.sum_a))
+    rhs = psi_module(ModuleElement.single(witness.sum_b))
     return not quotient_equal(lhs, rhs)

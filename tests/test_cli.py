@@ -1,5 +1,6 @@
 """The text grammar, command dispatch, exit codes, and output determinism."""
 
+import hashlib
 import os
 import random
 import subprocess
@@ -426,6 +427,24 @@ def test_quotient_eq_exit_codes(capsys):
         assert (code, out) == (1, "false\n")
         code, out, _ = run_main(capsys, "quotient-eq", "1 [dcd: A A |]", "1 [dcd: A A |]", *field)
         assert (code, out) == (0, "true\n")
+
+
+# sha256 of ``enumerate --kind K --degree 5`` stdout, trailing newline
+# included, recorded from the brute-force enumeration that canonicalized every
+# raw word; the CI workflow checks degree 6 the same way
+ENUMERATE_DEGREE_5_SHA256 = {
+    "framed": "68cd768a3e291a4677f5075dab79e31f37afc8b159f8396d74100d02e5edf3df",
+    "double": "93c0bbe6892c6c49eb3f0718a58feecaf9862240888da9f9ada5d63a64b76f0c",
+    "linear": "0938612e94aac67b5550031fcff7ebfec802eaefd63f999f8eab09264d90144a",
+    "dlinear": "97bfd39a515b344c7660e35bdd3ac075f90daf7a2ea598a3444423760df4ff1a",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ENUMERATE_DEGREE_5_SHA256))
+def test_enumerate_output_at_degree_five(kind, capsys):
+    code, out, _ = run_main(capsys, "enumerate", "--kind", kind, "--degree", "5")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_DEGREE_5_SHA256[kind]
 
 
 def test_enumerate_command(capsys):

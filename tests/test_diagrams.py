@@ -18,8 +18,11 @@ from chordcalc.diagrams import (
     FramedChordDiagram,
     FramedLinearDiagram,
     InvalidDiagramError,
+    KINDS,
+    _CANONICALIZERS,
     _canon_double,
     _canon_framed,
+    _matchings,
     _SPELLED,
     closure,
     coproduct,
@@ -431,6 +434,54 @@ def test_enumerate_contains_every_raw_word():
         for perm in set(itertools.permutations(letters * 2)):
             framing = {lab: int(lab) % 2 for lab in letters}
             assert FramedChordDiagram(perm, framing).key() in universe
+
+
+def brute_force_enumeration(kind, n):
+    """Every canonical key of degree ``n``: each raw word (a matching of the
+    2n endpoint slots, times every framing or every split of the slots
+    between the two words) canonicalized and deduplicated."""
+    positions = list(range(2 * n))
+    keys = set()
+    canon = _CANONICALIZERS[kind]
+    if kind in ("framed", "linear"):
+        for matching in _matchings(positions):
+            chord_of = {}
+            for ci, (p, q) in enumerate(matching):
+                chord_of[p] = chord_of[q] = ci
+            for framings in itertools.product((0, 1), repeat=n):
+                tokens = tuple((chord_of[p], framings[chord_of[p]]) for p in positions)
+                keys.add(canon(tokens))
+    else:
+        for split in range(2 * n + 1):
+            for matching in _matchings(positions):
+                chord_of = {}
+                for ci, (p, q) in enumerate(matching):
+                    chord_of[p] = chord_of[q] = ci
+                w1 = tuple(chord_of[p] for p in positions[:split])
+                w2 = tuple(chord_of[p] for p in positions[split:])
+                keys.add(canon(w1, w2))
+    return tuple(sorted(keys))
+
+
+@pytest.mark.parametrize("kind", ["framed", "double", "linear", "dlinear"])
+def test_enumeration_matches_the_brute_force(kind):
+    for n in range(6):
+        assert enumerate_diagrams(kind, n) == brute_force_enumeration(kind, n)
+
+
+def test_enumeration_counts_at_degree_six():
+    # the uncached function, so that the 665,280 linear keys are freed again
+    counts = {kind: len(enumerate_diagrams.__wrapped__(kind, 6)) for kind in KINDS}
+    assert counts == {"framed": 55876, "double": 3672, "linear": 665280, "dlinear": 135135}
+
+
+def test_enumeration_leaves_the_canonical_caches_alone():
+    # hits count too: a word some earlier test put in a cache adds no entry
+    for kind in KINDS:
+        for n in range(5):
+            before = [canon.cache_info() for canon in _CANONICALIZERS.values()]
+            enumerate_diagrams.__wrapped__(kind, n)
+            assert [canon.cache_info() for canon in _CANONICALIZERS.values()] == before
 
 
 def test_from_key_round_trip():
