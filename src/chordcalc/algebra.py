@@ -38,7 +38,7 @@ from .diagrams import (
     _least_circle_pair,
     _least_rotation,
     _numbered,
-    _relabel_tokens,
+    _numbered_codes,
     enumerate_diagrams,
 )
 from .intlinalg import _add_multiple, _sparse_hnf
@@ -95,10 +95,12 @@ class ModuleElement:
         return cls(key.kind, [(key, coeff)])
 
     def items(self):
-        return tuple(sorted(self._terms.items()))
+        # the keys of one element share a kind, so their payloads order them
+        # as the keys do, without the dataclass's generated comparisons
+        return tuple(sorted(self._terms.items(), key=lambda term: term[0].payload))
 
     def support(self):
-        return tuple(sorted(self._terms))
+        return tuple(sorted(self._terms, key=lambda key: key.payload))
 
     def coefficient(self, key) -> int:
         return self._terms.get(key, 0)
@@ -228,9 +230,10 @@ def _moves(kind, n):
     always yielded, so what the callers build is unchanged.
 
     Placements are sliced from the key's own words: chord numbers for the
-    two-word kinds, ``(num, framing)`` tokens for the one-word kinds.  A
-    far-side slide across a framing-1 chord flips both tokens of the moving
-    chord: the inserted one and the one left in the stripped word.
+    two-word kinds, codes ``2 * number + framing`` for the one-word kinds.
+    A far-side slide across a framing-1 chord flips the framing bit of both
+    codes of the moving chord: the inserted one and the one left in the
+    stripped word.
     """
     canon = _CANONICALIZERS[kind]
     one_word = kind in ("framed", "linear")
@@ -238,19 +241,22 @@ def _moves(kind, n):
     for base in enumerate_diagrams(kind, n):
         # a canonical key numbers its chords by first occurrence, so the
         # labels of its words are already the chord numbers
-        words = (base.payload,) if one_word else base.payload
-        framing = dict(base.payload) if one_word else {}
+        if one_word:
+            words = (tuple([2 * c + f for c, f in base.payload]),)
+            framing = dict(base.payload)
+        else:
+            words, framing = base.payload, {}
         ends = {}  # chord number -> its two (word, position) endpoints, in order
         for wi, word in enumerate(words):
-            for p, tok in enumerate(word):
-                ends.setdefault(tok[0] if one_word else tok, []).append((wi, p))
+            for p, lab in enumerate(word):
+                ends.setdefault(lab >> 1 if one_word else lab, []).append((wi, p))
         for a, a_ends in ends.items():
             for occ, (xwi, xp) in enumerate(a_ends):
                 word = words[xwi]
                 tok = word[xp]
                 stripped = words[:xwi] + (word[:xp] + word[xp + 1 :],) + words[xwi + 1 :]
                 if kind == "framed":
-                    punctured, ties = _least_rotation(((stripped[0], {}),))
+                    punctured, ties = _least_rotation(((stripped[0], {}),), marked=True)
                     numbering = ties[0][1]
                     # where the other endpoint of a is left in the stripped word
                     rest = a_ends[1][1] - 1 if occ == 0 else a_ends[0][1]
@@ -259,12 +265,12 @@ def _moves(kind, n):
                 else:
                     numbering = {}
                     punctured = tuple(
-                        _relabel_tokens(w, numbering) if one_word else _numbered(w, numbering)
+                        _numbered_codes(w, numbering) if one_word else _numbered(w, numbering)
                         for w in stripped
                     )
                 if one_word:
-                    flipped_tok = (a, tok[1] ^ 1)
-                    flipped = (tuple(flipped_tok if t[0] == a else t for t in stripped[0]),)
+                    flipped_tok = tok ^ 1
+                    flipped = (tuple([t ^ 1 if t >> 1 == a else t for t in stripped[0]]),)
                 for b, b_ends in ends.items():
                     if b == a:
                         continue
@@ -274,7 +280,8 @@ def _moves(kind, n):
                             p -= 1
                         slots += ((wi, p), (wi, p + 1))
                     flip_far_side = framing.get(b) == 1
-                    datum = (punctured, numbering[b])
+                    # the numbering is keyed by b's code on one word
+                    datum = (punctured, numbering[2 * b + framing[b] if one_word else b])
                     if flip_far_side and kind == "framed":
                         datum += ((slots[0][1] - rest) % len(stripped[0]),)
                     if datum in seen:

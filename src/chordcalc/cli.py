@@ -146,7 +146,7 @@ def _parse_key(text, offset):
                     _column(side, side_offset, i),
                 )
             entry[3] += 1
-            word.append((entry[0], fr) if framed else entry[0])
+            word.append(2 * entry[0] + fr if framed else entry[0])
         words.append(tuple(word))
     bad = sorted(label for label, entry in seen.items() if entry[3] != 2)
     if bad:

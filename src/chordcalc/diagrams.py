@@ -82,6 +82,7 @@ def _checked_framing(framing, labels):
     for lab, fr in framing.items():
         if fr not in (0, 1):
             raise InvalidDiagramError(f"framing of {lab!r} must be 0 or 1, got {fr!r}")
+        framing[lab] = 1 if fr else 0  # True and 1.0 are stored as 1
     return framing
 
 
@@ -104,7 +105,7 @@ class FramedChordDiagram:
         return tuple((lab, self.framing[lab]) for lab in self.word)
 
     def key(self) -> CanonicalKey:
-        return _canon_framed(self.tokens())
+        return _canon_framed(_codes(self.word, self.framing))
 
     def canonical(self) -> "FramedChordDiagram":
         return from_key(self.key())
@@ -156,7 +157,7 @@ class FramedLinearDiagram:
         return tuple((lab, self.framing[lab]) for lab in self.word)
 
     def key(self) -> CanonicalKey:
-        return _canon_linear(self.tokens())
+        return _canon_linear(_codes(self.word, self.framing))
 
     def canonical(self) -> "FramedLinearDiagram":
         return from_key(self.key())
@@ -191,17 +192,24 @@ class DoubleLinearDiagram:
 # canonicalization
 
 
-def _relabel_tokens(seq, numbering):
-    """``(label, mark)`` tokens with every label replaced by its number in
-    ``numbering``; labels not numbered yet get the next numbers, in order of
-    appearance."""
-    out = []
-    for lab, mark in seq:
-        num = numbering.get(lab)
-        if num is None:
-            num = numbering[lab] = len(numbering) + 1
-        out.append((num, mark))
-    return tuple(out)
+def _codes(word, framing):
+    """A framed word as the int word the one-word canonicalizers take: the
+    ``k``-th label to appear (counted from 0) with framing ``f`` becomes the
+    code ``2k + f``, so the lowest bit of a code is its chord's framing."""
+    index = {}
+    return tuple([2 * index.setdefault(lab, len(index)) + framing[lab] for lab in word])
+
+
+class _Tokens(dict):
+    """The ``(number, framing)`` token of every code ``2 * number + framing``
+    looked up, each built once and shared by every key that holds it."""
+
+    def __missing__(self, code):
+        self[code] = token = (code >> 1, code & 1)
+        return token
+
+
+_TOKENS = _Tokens()
 
 
 def _numbered(word, numbering):
@@ -216,24 +224,31 @@ def _numbered(word, numbering):
     return tuple(out)
 
 
-def _least_rotation(circles):
+def _numbered_codes(word, numbering):
+    """``_numbered`` of a code word, each number carrying its code's framing
+    bit again: ``2 * number + framing``."""
+    return tuple([2 * v + (c & 1) for c, v in zip(word, _numbered(word, numbering))])
+
+
+def _least_rotation(circles, marked=False):
     """The least relabelled rotation over ``circles``, and the numbering of
     every rotation that attains it.
 
-    Each circle is a ``(tokens, numbering)`` pair: a word of ``(label,
-    mark)`` tokens, the mark being the framing or 0, and a numbering of
-    labels that each rotation of the word continues on a copy.  A rotation
-    relabels to ``(number, mark)`` tokens.  Returns the least relabelled
-    token tuple and, for every rotation attaining it, ``(circle index, its
-    completed numbering)``.
+    Each circle is a ``(word, numbering)`` pair: a word of labels and a
+    numbering of labels that each rotation of the word continues on a copy.
+    A rotation relabels to the tuple of its labels' numbers.  With
+    ``marked`` (a framed word), every label is an int code ``2 * chord +
+    framing`` (see ``_codes``) and relabels to ``2 * number + framing``,
+    which orders as the ``(number, framing)`` token does.  Returns the least
+    relabelled rotation and, for every rotation attaining it, ``(circle
+    index, its completed numbering)``.
 
-    Only the rotations whose first two relabelled tokens (the head) are least
-    are scanned, and the one rotation of each word shorter than two tokens.
-    Each is relabelled lazily against the best so far and dropped at its
-    first larger token; a full relabelling is built only for a new best.
+    Only the rotations whose first two relabelled labels (the head) are
+    least are scanned, and the one rotation of each word shorter than two
+    labels.  Each is relabelled lazily against the best so far and dropped
+    at its first larger label; a full relabelling is built only for a new
+    best.  Labels are compared as plain numbers, never as tuples.
     """
-    # a head token counts 2 * number + mark, which orders tokens as the
-    # (number, mark) pairs do
     least0 = least1 = None
     starts, short = [], []
     for ci, (word, base) in enumerate(circles):
@@ -241,28 +256,29 @@ def _least_rotation(circles):
             short.append((ci, 0))
             continue
         get, fresh = base.get, len(base) + 1
-        r = 0
-        for (a, ma), (c, mc) in zip(word, word[1:] + word[:1]):
-            na = get(a, fresh)
-            nc = na if c == a else get(c, fresh + (na == fresh))
-            v0, v1 = 2 * na + ma, 2 * nc + mc
+        for r, (a, c) in enumerate(zip(word, word[1:] + word[:1])):
+            v0 = get(a, fresh)
+            v1 = v0 if c == a else get(c, fresh + (v0 == fresh))
+            if marked:
+                v0, v1 = 2 * v0 + (a & 1), 2 * v1 + (c & 1)
             if least0 is None or v0 < least0 or (v0 == least0 and v1 < least1):
                 least0, least1, starts = v0, v1, [(ci, r)]
             elif v0 == least0 and v1 == least1:
                 starts.append((ci, r))
-            r += 1
     best = None
     for ci, r in short + starts:
         word, base = circles[ci]
         rot = word[r:] + word[:r]
         numbering = {**base}
         if best is not None:
-            for (lab, m), (bn, bm) in zip(rot, best):
-                num = numbering.get(lab)
-                if num is None:
-                    num = numbering[lab] = len(numbering) + 1
-                if num != bn or m != bm:
-                    less = num < bn or (num == bn and m < bm)
+            for lab, b in zip(rot, best):
+                v = numbering.get(lab)
+                if v is None:
+                    v = numbering[lab] = len(numbering) + 1
+                if marked:
+                    v = 2 * v + (lab & 1)
+                if v != b:
+                    less = v < b
                     break
             else:
                 less = len(rot) < len(best)
@@ -270,16 +286,16 @@ def _least_rotation(circles):
                     ties.append((ci, numbering))
             if not less:
                 continue
-            numbering = {**base}
-        best = _relabel_tokens(rot, numbering)
+        # the numbering is complete up to where the scan broke off
+        best = _numbered_codes(rot, numbering) if marked else _numbered(rot, numbering)
         ties = [(ci, numbering)]
     return best, ties
 
 
 @lru_cache(maxsize=None)
-def _canon_framed(tokens) -> CanonicalKey:
-    best, _ = _least_rotation(((tokens, {}),))
-    return CanonicalKey("framed", best)
+def _canon_framed(word) -> CanonicalKey:
+    best, _ = _least_rotation(((word, {}),), marked=True)
+    return CanonicalKey("framed", tuple(map(_TOKENS.__getitem__, best)))
 
 
 def _least_circle_pair(w1, w2):
@@ -295,13 +311,13 @@ def _least_circle_pair(w1, w2):
     # taken over the rotations of both words; t2 is then the least rotation
     # of the other word over the rotations ra that tie for t1, each
     # continuing its own numbering.  Both stages are one pruned scan of
-    # _least_rotation: about 2L head checks and a few lazy relabellings
-    # each, with many ties to carry into the second stage only for a word
-    # with many equal rotations.
-    words = (tuple(zip(w1, itertools.repeat(0))), tuple(zip(w2, itertools.repeat(0))))
-    best1, ties = _least_rotation(((words[0], {}), (words[1], {})))
-    best2, ties = _least_rotation(tuple((words[1 - ci], numbering) for ci, numbering in ties))
-    return (tuple([n for n, _ in best1]), tuple([n for n, _ in best2])), ties[0][1]
+    # _least_rotation on the plain label words: about 2L head checks and a
+    # few lazy relabellings each, with many ties to carry into the second
+    # stage only for a word with many equal rotations.
+    words = (w1, w2)
+    best1, ties = _least_rotation(((w1, {}), (w2, {})))
+    best2, ties = _least_rotation(tuple([(words[1 - ci], numbering) for ci, numbering in ties]))
+    return (best1, best2), ties[0][1]
 
 
 @lru_cache(maxsize=None)
@@ -310,8 +326,8 @@ def _canon_double(w1, w2) -> CanonicalKey:
 
 
 @lru_cache(maxsize=None)
-def _canon_linear(tokens) -> CanonicalKey:
-    return CanonicalKey("linear", _relabel_tokens(tokens, {}))
+def _canon_linear(word) -> CanonicalKey:
+    return CanonicalKey("linear", tuple(map(_TOKENS.__getitem__, _numbered_codes(word, {}))))
 
 
 @lru_cache(maxsize=None)
@@ -320,9 +336,9 @@ def _canon_dlinear(w1, w2) -> CanonicalKey:
     return CanonicalKey("dlinear", (_numbered(w1, numbering), _numbered(w2, numbering)))
 
 
-#: The canonicalizer of each kind: it takes a ``(label, framing)`` token word
-#: (one-word kinds) or two label words (two-word kinds) and trusts them to be
-#: a valid diagram.
+#: The canonicalizer of each kind: it takes a word of ``_codes`` (one-word
+#: kinds; any int labels, each with one framing) or two label words
+#: (two-word kinds) and trusts them to be a valid diagram.
 _CANONICALIZERS = {
     "framed": _canon_framed,
     "double": _canon_double,
@@ -422,10 +438,11 @@ def enumerate_diagrams(kind: str, n: int):
       chords; 0 for a chord to the other circle) is its least rotation.
 
     The canonicalizers are called unwrapped, so the raw words fill none of
-    their caches.  Cold, one process each, n = 6 takes 1.4-1.6 s for
-    framed, 0.8-0.9 s for double, 0.9-1.1 s for dlinear and 6.7-7.0 s for
-    linear, whose 665,280 keys peak at 770 MB (three runs each, a shared
-    2-vCPU VM, Python 3.11.7); the shipped verification sweeps use n <= 4.
+    their caches, and the one-word keys share their ``(number, framing)``
+    tokens.  Cold, one process each, n = 6 takes 1.1-1.6 s for framed,
+    0.7-0.9 s for double, 0.9-1.0 s for dlinear and 3.5-3.9 s for linear,
+    whose 665,280 keys peak at 280 MB (three runs each, a shared 2-vCPU VM,
+    Python 3.11.7); the shipped verification sweeps use n <= 4.
     """
     if kind not in KINDS:
         raise InvalidArgumentError(f"unknown kind {kind!r}")
@@ -451,7 +468,7 @@ def enumerate_diagrams(kind: str, n: int):
         elif kind == "framed":
             if _is_least_rotation(_circle_gaps(partner, 0, size)):
                 for framing in framings:
-                    payloads.add(canon(tuple([(c, framing[c - 1]) for c in word])).payload)
+                    payloads.add(canon(tuple([2 * c + framing[c - 1] for c in word])).payload)
         else:
             for s in range(n + 1):
                 if _is_least_rotation(_circle_gaps(partner, 0, s)) and _is_least_rotation(
@@ -460,7 +477,7 @@ def enumerate_diagrams(kind: str, n: int):
                     payloads.add(canon(tuple(word[:s]), tuple(word[s:])).payload)
     if kind == "linear":
         # flat int tuples sort several times faster than tuples of tokens
-        payloads = [tuple([(v >> 1, v & 1) for v in code]) for code in sorted(codes)]
+        payloads = [tuple(map(_TOKENS.__getitem__, code)) for code in sorted(codes)]
     else:
         payloads = sorted(payloads)  # keys of one kind order as their payloads
     return tuple([CanonicalKey(kind, payload) for payload in payloads])

@@ -10,8 +10,6 @@ by exact span membership.
 
 from __future__ import annotations
 
-import itertools
-
 from .algebra import ModuleElement
 from .diagrams import (
     DoubleChordDiagram,
@@ -20,7 +18,6 @@ from .diagrams import (
     FramedLinearDiagram,
     InvalidArgumentError,
     _CANONICALIZERS,
-    reverse_word,
 )
 
 #: The parity map of each framed kind: the diagram class it expands, the
@@ -32,18 +29,32 @@ _PARITY = {
 
 
 def _split_summands(word, framing):
-    """Yield ``(first_side, side1, side2)`` for each of the 2^n choices of the
-    side of every chord's first endpoint; ``side2`` is already reversed."""
+    """Yield ``(mask, word1, word2)`` for each of the 2^n choices of the
+    side of every chord's first endpoint; ``word2`` is already reversed.
+
+    Bit ``n - 1 - i`` of ``mask`` is the side of the first endpoint of the
+    ``i``-th chord in order of first appearance, so the masks run in the
+    order of ``itertools.product((0, 1), repeat=n)``.  An endpoint lies on
+    side 0 when its chord's bit is clear, except the second endpoint of a
+    framing-1 chord, which lies on side 0 when the bit is set.
+    """
     labels = tuple(dict.fromkeys(word))
-    for bits in itertools.product((0, 1), repeat=len(labels)):
-        side = dict(zip(labels, bits))  # side of each chord's next endpoint
-        words = ([], [])
-        for lab in word:
-            words[side[lab]].append(lab)
-            side[lab] ^= framing[lab]
-        # every chord's side was flipped by its framing twice, so ``side``
-        # holds the side of each first endpoint again
-        yield side, tuple(words[0]), reverse_word(words[1])
+    n = len(labels)
+    bits = {lab: 1 << (n - 1 - i) for i, lab in enumerate(labels)}
+    # each endpoint: its label, its chord's bit, and the value ``mask & bit``
+    # takes when the endpoint lies on side 0
+    ends, seen = [], set()
+    for lab in word:
+        bit = bits[lab]
+        ends.append((lab, bit, bit if lab in seen and framing[lab] else 0))
+        seen.add(lab)
+    back = ends[::-1]
+    for mask in range(1 << n):
+        yield (
+            mask,
+            tuple([lab for lab, bit, side0 in ends if mask & bit == side0]),
+            tuple([lab for lab, bit, side0 in back if mask & bit != side0]),
+        )
 
 
 def _checked(kind, d):
@@ -56,25 +67,28 @@ def _checked(kind, d):
 def _summands(kind, d):
     d = _checked(kind, d)
     image = _PARITY[kind][2]
-    for first_side, w1, w2 in _split_summands(d.word, d.framing):
-        sides = {lab: (s, s ^ d.framing[lab]) for lab, s in first_side.items()}
+    labels = tuple(dict.fromkeys(d.word))
+    for mask, w1, w2 in _split_summands(d.word, d.framing):
+        sides = {}
+        for i, lab in enumerate(labels):
+            s = mask >> (len(labels) - 1 - i) & 1
+            sides[lab] = (s, s ^ d.framing[lab])
         yield sides, image(w1, w2)
 
 
 def _expansion(kind, terms):
     """The parity image of ``(canonical key, coefficient)`` terms of a framed
-    or linear kind; every summand is canonicalized directly, without
-    building a diagram object."""
+    or linear kind.  Every summand is canonicalized directly, without
+    building a diagram object, and its coefficient is added into one dict
+    for the whole call."""
     image_kind = _PARITY[kind][1]
     canon = _CANONICALIZERS[image_kind]
-    image = []
+    image = {}
     for key, coeff in terms:
-        counts = {}
-        word = tuple(num for num, _fr in key.payload)
-        for _first_side, w1, w2 in _split_summands(word, dict(key.payload)):
+        word = tuple([num for num, _fr in key.payload])
+        for _mask, w1, w2 in _split_summands(word, dict(key.payload)):
             summand = canon(w1, w2)
-            counts[summand] = counts.get(summand, 0) + 1
-        image.extend((summand, coeff * count) for summand, count in counts.items())
+            image[summand] = image.get(summand, 0) + coeff
     return ModuleElement(image_kind, image)
 
 

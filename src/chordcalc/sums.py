@@ -20,6 +20,7 @@ from .diagrams import (
     FramedLinearDiagram,
     InvalidArgumentError,
     _canon_framed,
+    _codes,
     enumerate_diagrams,
     from_key,
 )
@@ -72,15 +73,18 @@ def _tagged(diagram, tag):
     return word, framing
 
 
-def _sum_key(tokens1, a1, tokens2, a2) -> CanonicalKey:
-    """Key of the framed connected sum of two ``(label, framing)`` token
-    words cut at arcs ``a1`` and ``a2`` (already checked): each word is
-    rotated to start after its cut, the labels are tagged by operand and
-    the two lines are concatenated."""
-    left = tokens1[a1 + 1 :] + tokens1[: a1 + 1]
-    right = tokens2[a2 + 1 :] + tokens2[: a2 + 1]
+def _sum_key(codes1, a1, codes2, a2) -> CanonicalKey:
+    """Key of the framed connected sum of two code words (see
+    ``diagrams._codes``) cut at arcs ``a1`` and ``a2`` (already checked):
+    each word is rotated to start after its cut, the second word's labels
+    are shifted past the first's, and the two lines are concatenated."""
+    # a code of a word of length L is at most L + 1, and the shift is even,
+    # so the framing bits stay
+    shift = len(codes1) + 2
     return _canon_framed(
-        tuple(((0, lab), fr) for lab, fr in left) + tuple(((1, lab), fr) for lab, fr in right)
+        codes1[a1 + 1 :]
+        + codes1[: a1 + 1]
+        + tuple([c + shift for c in codes2[a2 + 1 :] + codes2[: a2 + 1]])
     )
 
 
@@ -94,7 +98,7 @@ def connected_sum_framed(d1, c1, d2, c2) -> FramedChordDiagram:
     """
     a1 = _arc_of(c1, d1)
     a2 = _arc_of(c2, d2)
-    return from_key(_sum_key(d1.tokens(), a1, d2.tokens(), a2))
+    return from_key(_sum_key(_codes(d1.word, d1.framing), a1, _codes(d2.word, d2.framing), a2))
 
 
 def connected_sum_linear(g1, g2) -> FramedLinearDiagram:
@@ -151,11 +155,13 @@ def search_counterexample(max_chords: int):
         for n1 in range(total + 1):
             n2 = total - n1
             for k1 in enumerate_diagrams("framed", n1):
+                codes1 = tuple([2 * c + f for c, f in k1.payload])
                 for k2 in enumerate_diagrams("framed", n2):
+                    codes2 = tuple([2 * c + f for c, f in k2.payload])
                     outcomes = []
                     for a1 in range(max(2 * n1, 1)):
                         for a2 in range(max(2 * n2, 1)):
-                            key = _sum_key(k1.payload, a1, k2.payload, a2)
+                            key = _sum_key(codes1, a1, codes2, a2)
                             w = weights.get(key)
                             if w is None:
                                 w = weights[key] = weight(psi_module(ModuleElement.single(key)))

@@ -139,47 +139,65 @@ def smoothing_graph(d) -> SmoothingGraph:
     raise TypeError(f"expected a double or dlinear diagram, got {type(d).__name__}")
 
 
-def _walk_count(words, cyclic):
+def _walk_count(words, cyclic, numbered=False):
     """Surgery component count of chords on two circles (or two lines), all
     smoothed coherently, by walking the pairing instead of building it.
 
     From ``out(p)`` the arc leads to ``in(next(p))`` and that node's chord
     gluing to ``out(partner(next(p)))``, so the walk steps from endpoint
-    ``p`` to ``partner(next(p))``.  On circles every node lies in one arc
-    and one chord gluing, so the components are the cycles of that step.  A
-    nonempty line adds one chain, which enters at its free end
-    ``in(first)``, reaches ``out(partner(first))`` by the chord and stops at
-    an endpoint with no next one; the chains are walked before the cycles.
-    Chordless circles and lines count one each.
+    ``p`` to ``partner(next(p))``: on each word, the partners rotated by
+    one.  On circles every node lies in one arc and one chord gluing, so the
+    components are the cycles of that step.  A nonempty line adds one
+    chain, which enters at its free end ``in(first)``, reaches
+    ``out(partner(first))`` by the chord and stops at the line's last
+    endpoint, which has no next one; the chains are walked before the
+    cycles.  Chordless circles and lines count one each.
+
+    The pass that pairs the endpoints also checks the words.  A label met a
+    third time, or left with one endpoint, raises ``InvalidDiagramError``
+    (through ``_occurrence_counts``, which names every offending label).
+    With ``numbered``, every label must be a positive ``int``; otherwise
+    ``ValueError`` names the first that is not, after the counts passed.
     """
-    partner, following, chains = [], [], []
-    unmatched = {}
-    free_loops = 0
+    partner, spans, bad = [], [], []
+    first = {}  # label -> its first endpoint, or -1 once both are seen
     for word in words:
-        m = len(word)
-        if not m:
-            free_loops += 1
-            continue
         offset = len(partner)
-        for p, lab in enumerate(word):
-            q = unmatched.pop(lab, None)
-            if q is None:
-                unmatched[lab] = offset + p
+        if word:
+            spans.append((offset, len(word)))
+        for e, lab in enumerate(word, offset):
+            q = first.setdefault(lab, e)
+            if q == e:
+                partner.append(None)
+                if numbered and (type(lab) is not int or lab < 1):
+                    bad.append(lab)
+            elif q < 0:  # a third endpoint: this raises
+                _occurrence_counts(words)
             else:
-                partner[q] = offset + p
-            partner.append(q)
-            following.append(offset + (p + 1) % m if cyclic or p + 1 < m else None)
-        if not cyclic:
-            chains.append(offset)
-    step = [None if f is None else partner[f] for f in following]
-    visited = [False] * len(partner)
-    count = free_loops
-    for p in [partner[first] for first in chains] + list(range(len(partner))):
-        if not visited[p]:
+                partner[q] = e
+                partner.append(q)
+                first[lab] = -1
+    if 2 * len(first) != len(partner):  # a label with one endpoint: this raises
+        _occurrence_counts(words)
+    if bad:
+        raise ValueError(f"labels are numbered from 1, got {bad[0]!r}")
+    # step[p] = partner(next(p)); -1 marks a line's last endpoint, and the
+    # walk marks every endpoint it passes with -1 too
+    step = []
+    for offset, m in spans:
+        step += partner[offset + 1 : offset + m]
+        step.append(partner[offset] if cyclic else -1)
+    count = len(words) - len(spans)
+    heads = [] if cyclic else [partner[offset] for offset, _m in spans]
+    count += len(heads)
+    for p in heads:
+        while p >= 0:
+            step[p], p = -1, step[p]
+    for p, q in enumerate(step):
+        if q >= 0:
             count += 1
-            while p is not None and not visited[p]:
-                visited[p] = True
-                p = step[p]
+            while p >= 0:
+                step[p], p = -1, step[p]
     return count
 
 
@@ -220,14 +238,12 @@ def _beta_of_key(key):
 
     The payload is checked once per distinct key, as ``from_key`` would
     check it: two words of positive chord numbers, each occurring exactly
-    twice.
+    twice.  The walk makes the checks in its own pairing pass, count errors
+    (``InvalidDiagramError``) before label errors (``ValueError``).
     """
     if len(key.payload) != 2:
         raise InvalidDiagramError(f"a {key.kind} key needs two words")
-    for lab in _occurrence_counts(key.payload):
-        if type(lab) is not int or lab < 1:
-            raise ValueError(f"labels are numbered from 1, got {lab!r}")
-    return _walk_count(key.payload, key.kind == "double")
+    return _walk_count(key.payload, key.kind == "double", numbered=True)
 
 
 def weight(u: ModuleElement) -> int:

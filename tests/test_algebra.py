@@ -296,7 +296,7 @@ def list_copy_moves(kind, base):
                     fr = dict(framing)
                     if flip_far_side and si >= 2:
                         fr[a] ^= 1
-                    placements.append(canon(tuple((lab, fr[lab]) for lab in ws[0])))
+                    placements.append(canon(tuple(2 * lab + fr[lab] for lab in ws[0])))
                 placements = tuple(placements)
                 signs = (1, -1, -1, 1) if flip_far_side else (1, -1, 1, -1)
                 pairing = ((0, 2), (1, 3)) if flip_far_side else ((0, 3), (1, 2))

@@ -27,7 +27,8 @@ from chordcalc.diagrams import (
     enumerate_diagrams,
     from_key,
 )
-from chordcalc.parity import parity_module, psi_module
+from chordcalc.parity import parity_module, psi, psi_l, psi_module
+from chordcalc.surgery import weight
 
 
 # --- parsing -----------------------------------------------------------------
@@ -445,6 +446,27 @@ def test_enumerate_output_at_degree_five(kind, capsys):
     code, out, _ = run_main(capsys, "enumerate", "--kind", kind, "--degree", "5")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_DEGREE_5_SHA256[kind]
+
+
+# sha256 of the line ``f"{format_element(e)}\t{weight(e)}\n"`` over every key
+# of ``enumerate_diagrams(kind, n)`` in order, ``e`` the parity image of the
+# key's parsed text, recorded before the parity path ran on integer words;
+# the CI workflow checks the benchmark's degree 5-7 probes the same way
+PARITY_OUTPUT_SHA256 = {
+    ("framed", 4): "0e16cfc77b37157b421fbcca72bf7aaa3d0c3bb2fde85009ba6883bb5e19f4b0",
+    ("linear", 4): "cc98084fc1000cffa30b822d11fa52db0016cf76b0ae881d903a9ed7c4545e36",
+    ("framed", 5): "b17c86898f8f947eab25d5eb818da3166005797751fc33cbf8715b3e80862fd3",
+}
+
+
+@pytest.mark.parametrize("kind, n", sorted(PARITY_OUTPUT_SHA256))
+def test_parity_output_is_pinned(kind, n):
+    expand = psi if kind == "framed" else psi_l
+    digest = hashlib.sha256()
+    for key in enumerate_diagrams(kind, n):
+        e = expand(parse(format_diagram(key)))
+        digest.update(f"{format_element(e)}\t{weight(e)}\n".encode())
+    assert digest.hexdigest() == PARITY_OUTPUT_SHA256[kind, n]
 
 
 def test_enumerate_command(capsys):

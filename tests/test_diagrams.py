@@ -22,6 +22,7 @@ from chordcalc.diagrams import (
     _CANONICALIZERS,
     _canon_double,
     _canon_framed,
+    _codes,
     _matchings,
     _SPELLED,
     closure,
@@ -310,7 +311,7 @@ def test_framed_pruned_scan_matches_the_brute_force_scan():
         alternating = {lab: i % 2 for i, lab in enumerate(labels)}
         cases.append(tuple((lab, alternating[lab]) for lab in word))
     for tokens in cases:
-        key = _canon_framed.__wrapped__(tokens)
+        key = _canon_framed.__wrapped__(_codes([lab for lab, _ in tokens], dict(tokens)))
         assert key == CanonicalKey("framed", brute_framed_payload(tokens)), tokens
 
 
@@ -382,6 +383,17 @@ def test_bad_framing_value():
         FramedChordDiagram(("A", "A"), {"A": 2})
 
 
+def test_framing_is_stored_as_an_int():
+    # True and 1.0 pass the 0-or-1 check; the diagram and its key hold 1
+    for cls in (FramedChordDiagram, FramedLinearDiagram):
+        for one in (True, 1.0):
+            d = cls(("A", "B", "A", "B"), {"A": one, "B": 0})
+            assert [type(fr) for fr in d.framing.values()] == [int, int]
+            expected = cls(("A", "B", "A", "B"), {"A": 1, "B": 0})
+            assert format_diagram(d) == format_diagram(expected)
+            assert [type(fr) for _num, fr in d.key().payload] == [int] * 4
+
+
 def test_double_occurrences_span_both_circles():
     with pytest.raises(InvalidDiagramError):
         DoubleChordDiagram(("A",), ())
@@ -449,8 +461,8 @@ def brute_force_enumeration(kind, n):
             for ci, (p, q) in enumerate(matching):
                 chord_of[p] = chord_of[q] = ci
             for framings in itertools.product((0, 1), repeat=n):
-                tokens = tuple((chord_of[p], framings[chord_of[p]]) for p in positions)
-                keys.add(canon(tokens))
+                codes = tuple(2 * chord_of[p] + framings[chord_of[p]] for p in positions)
+                keys.add(canon(codes))
     else:
         for split in range(2 * n + 1):
             for matching in _matchings(positions):

@@ -1,5 +1,8 @@
 """The parity maps onto two circles and onto two lines."""
 
+import itertools
+import random
+
 import pytest
 
 from chordcalc.algebra import ModuleElement, generate_4T, quotient_equal
@@ -56,6 +59,14 @@ def test_psi_summand_count_and_mass():
             assert psi(d).mass() == 2**n
 
 
+def random_framed(rng, cls, n):
+    """A random framed circle or line with ``n`` chords and written labels."""
+    labels = [f"c{i}" for i in range(n)]
+    word = [lab for lab in labels for _ in (0, 1)]
+    rng.shuffle(word)
+    return cls(tuple(word), {lab: rng.randint(0, 1) for lab in labels})
+
+
 @pytest.mark.parametrize(
     "expand, summands, kind, max_n",
     [(psi, psi_summands, "framed", 4), (psi_l, psi_l_summands, "linear", 3)],
@@ -63,15 +74,46 @@ def test_psi_summand_count_and_mass():
 def test_expansion_matches_the_summand_diagrams(expand, summands, kind, max_n):
     # psi and parity_module canonicalize the split words directly; the
     # public summands are validated diagram objects with their own keys
-    for n in range(max_n + 1):
-        for key in enumerate_diagrams(kind, n):
-            d = from_key(key)
-            image = expand(d)
-            counted = {}
-            for _sides, summand in summands(d):
-                counted[summand.key()] = counted.get(summand.key(), 0) + 1
-            assert image == ModuleElement(image.kind, counted)
-            assert parity_module(ModuleElement.single(key, -2)) == -2 * image
+    diagrams = [from_key(key) for n in range(max_n + 1) for key in enumerate_diagrams(kind, n)]
+    cls = FramedChordDiagram if kind == "framed" else FramedLinearDiagram
+    rng = random.Random(f"summands {kind}")
+    diagrams += [random_framed(rng, cls, n) for n in (6, 7, 8) for _ in range(100)]
+    for d in diagrams:
+        image = expand(d)
+        counted = {}
+        for _sides, summand in summands(d):
+            counted[summand.key()] = counted.get(summand.key(), 0) + 1
+        assert image == ModuleElement(image.kind, counted)
+        assert parity_module(ModuleElement.single(d.key(), -2)) == -2 * image
+
+
+def product_split(word, framing):
+    """The split as it was first written: one side dict per choice of
+    ``itertools.product``, each endpoint appended to its side's word."""
+    labels = tuple(dict.fromkeys(word))
+    for bits in itertools.product((0, 1), repeat=len(labels)):
+        side = dict(zip(labels, bits))  # side of each chord's next endpoint
+        words = ([], [])
+        for lab in word:
+            words[side[lab]].append(lab)
+            side[lab] ^= framing[lab]
+        sides = {lab: (s, s ^ framing[lab]) for lab, s in side.items()}
+        yield sides, tuple(words[0]), tuple(reversed(words[1]))
+
+
+@pytest.mark.parametrize(
+    "summands, cls", [(psi_summands, FramedChordDiagram), (psi_l_summands, FramedLinearDiagram)]
+)
+def test_summands_follow_the_product_split(summands, cls):
+    rng = random.Random(f"product {cls.kind}")
+    for n in range(9):
+        for _ in range(30 if n > 2 else 5):
+            d = random_framed(rng, cls, n)
+            got = [(list(sides.items()), s.word1, s.word2) for sides, s in summands(d)]
+            expected = [
+                (list(sides.items()), w1, w2) for sides, w1, w2 in product_split(d.word, d.framing)
+            ]
+            assert got == expected
 
 
 def test_psi_summand_sides_respect_framings():

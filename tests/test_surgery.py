@@ -271,12 +271,33 @@ def test_weight_kind_restricted():
         (((1, 2, 1),), InvalidDiagramError),
         ((("A", "A"), ()), ValueError),
         (((0, 0), ()), ValueError),
+        (((1, 1, 1, 1), ()), InvalidDiagramError),
+        (((1, 1), (1, 1)), InvalidDiagramError),
+        (((True, True), ()), ValueError),
+        (((-1, -1), ()), ValueError),
+        # both malformed: the count is checked first
+        (((1,), ("A", "A")), InvalidDiagramError),
     ],
 )
 def test_weight_refuses_a_malformed_key(payload, error):
+    # the check runs once per distinct key, and (True, True) equals (1, 1)
+    _beta_of_key.cache_clear()
     for kind in ("double", "dlinear"):
-        with pytest.raises(error):
+        with pytest.raises(ValueError) as raised:
             weight(ModuleElement(kind, [(CanonicalKey(kind, payload), 1)]))
+        # InvalidDiagramError subclasses ValueError, so the class must match
+        assert type(raised.value) is error
+
+
+def test_weight_names_what_is_malformed():
+    cases = [
+        (((1, 1, 1, 1), (2,)), "every chord label must occur exactly twice; offending labels: 1, 2"),
+        (((2, 2), ("A", "A", 0, 0)), "labels are numbered from 1, got 'A'"),
+    ]
+    for payload, message in cases:
+        with pytest.raises(ValueError) as raised:
+            weight(ModuleElement("double", [(CanonicalKey("double", payload), 1)]))
+        assert str(raised.value) == message
 
 
 def test_weight_kills_4t_generators_small():
