@@ -35,6 +35,8 @@ from .diagrams import (
     _CANONICALIZERS,
     KINDS,
     CanonicalKey,
+    InvalidArgumentError,
+    _key_words,
     _least_circle_pair,
     _least_rotation,
     _numbered,
@@ -67,7 +69,7 @@ class ModuleElement:
 
     def __init__(self, kind, terms=()):
         if kind not in KINDS:
-            raise ValueError(f"unknown kind {kind!r}")
+            raise InvalidArgumentError(f"unknown kind {kind!r}")
         accumulated = {}
         items = terms.items() if isinstance(terms, dict) else terms
         for key, coeff in items:
@@ -241,11 +243,8 @@ def _moves(kind, n):
     for base in enumerate_diagrams(kind, n):
         # a canonical key numbers its chords by first occurrence, so the
         # labels of its words are already the chord numbers
-        if one_word:
-            words = (tuple([2 * c + f for c, f in base.payload]),)
-            framing = dict(base.payload)
-        else:
-            words, framing = base.payload, {}
+        words = _key_words(base)
+        framing = dict(base.payload) if one_word else {}
         ends = {}  # chord number -> its two (word, position) endpoints, in order
         for wi, word in enumerate(words):
             for p, lab in enumerate(word):
@@ -342,11 +341,12 @@ def generate_4T(kind, n, include_zero=True):
     again (see ``_moves``), so the result is the same as without the skip.
     At framed n = 4 that leaves 851 of 5,616 choices to build.  Generators
     whose four terms cancel to the zero element are included unless
-    ``include_zero`` is false.  ``n < 2`` yields nothing (a relation needs
-    two chords); ``n < 0`` raises ``ValueError``.
+    ``include_zero`` is false.  ``n`` of 0 or 1 yields nothing (a relation
+    needs two chords); ``n < 0`` or an unknown kind raises
+    ``InvalidArgumentError``.
     """
     if kind not in KINDS:
-        raise ValueError(f"unknown kind {kind!r}")
+        raise InvalidArgumentError(f"unknown kind {kind!r}")
     generators = _all_generators(kind, n)
     if include_zero:
         return generators
@@ -361,7 +361,7 @@ def generate_2T_pairs(kind, n):
     pairs, so any function constant on these pairs kills all 4T generators.
     """
     if kind not in ("double", "dlinear"):
-        raise ValueError("2T pairs are generated for the double and dlinear kinds")
+        raise InvalidArgumentError("2T pairs are generated for the double and dlinear kinds")
     pairs = set()
     for *_slide, move_pairs in _moves(kind, n):
         pairs.update(move_pairs)

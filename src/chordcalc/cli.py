@@ -216,15 +216,8 @@ def format_element(element: ModuleElement) -> str:
     """Canonical element text; the zero element prints as the chordless
     diagram with coefficient 0."""
     if element.is_zero():
-        empty = _empty_key(element.kind)
-        return f"0 [{format_diagram(empty)}]"
+        return f"0 [{format_diagram(enumerate_diagrams(element.kind, 0)[0])}]"
     return " + ".join(f"{c} [{format_diagram(k)}]" for k, c in element.items())
-
-
-def _empty_key(kind):
-    if kind in ("framed", "linear"):
-        return CanonicalKey(kind, ())
-    return CanonicalKey(kind, ((), ()))
 
 
 def format_pair_sum(pairs: dict) -> str:

@@ -86,7 +86,54 @@ def _checked_framing(framing, labels):
     return framing
 
 
-class FramedChordDiagram:
+def _expect(cls, *diagrams):
+    """``TypeError`` unless every one of ``diagrams`` is a ``cls``."""
+    for d in diagrams:
+        if not isinstance(d, cls):
+            raise TypeError(f"expected {cls.__name__}, got {type(d).__name__}")
+
+
+class _OneWordDiagram:
+    """A double-occurrence word with a 0/1 framing per chord; its key is the
+    one-word canonicalizer of its ``kind`` run on the word's codes."""
+
+    def __init__(self, word, framing):
+        self.word = tuple(word)
+        counts = _occurrence_counts([self.word])
+        self.framing = _checked_framing(framing, counts)
+        self.n = len(self.word) // 2
+
+    def key(self) -> CanonicalKey:
+        return _CANONICALIZERS[self.kind](_codes(self.word, self.framing))
+
+    def canonical(self):
+        return from_key(self.key())
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.word!r}, {self.framing!r})"
+
+
+class _TwoWordDiagram:
+    """Two words of unframed chords, every label occurring twice across
+    both; its key is the two-word canonicalizer of its ``kind``."""
+
+    def __init__(self, word1, word2):
+        self.word1 = tuple(word1)
+        self.word2 = tuple(word2)
+        _occurrence_counts([self.word1, self.word2])
+        self.n = (len(self.word1) + len(self.word2)) // 2
+
+    def key(self) -> CanonicalKey:
+        return _CANONICALIZERS[self.kind](self.word1, self.word2)
+
+    def canonical(self):
+        return from_key(self.key())
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.word1!r}, {self.word2!r})"
+
+
+class FramedChordDiagram(_OneWordDiagram):
     """Cyclic double-occurrence word with a 0/1 framing per chord.
 
     The free loop (no chords) is the legal degree-0 diagram: empty word,
@@ -95,26 +142,8 @@ class FramedChordDiagram:
 
     kind = "framed"
 
-    def __init__(self, word, framing):
-        self.word = tuple(word)
-        counts = _occurrence_counts([self.word])
-        self.framing = _checked_framing(framing, counts)
-        self.n = len(self.word) // 2
 
-    def tokens(self):
-        return tuple((lab, self.framing[lab]) for lab in self.word)
-
-    def key(self) -> CanonicalKey:
-        return _canon_framed(_codes(self.word, self.framing))
-
-    def canonical(self) -> "FramedChordDiagram":
-        return from_key(self.key())
-
-    def __repr__(self):
-        return f"FramedChordDiagram({self.word!r}, {self.framing!r})"
-
-
-class DoubleChordDiagram:
+class DoubleChordDiagram(_TwoWordDiagram):
     """Chords distributed over two oriented circles; no framing data.
 
     Either circle may be empty; an empty circle is a free loop of the
@@ -125,67 +154,26 @@ class DoubleChordDiagram:
 
     kind = "double"
 
-    def __init__(self, word1, word2):
-        self.word1 = tuple(word1)
-        self.word2 = tuple(word2)
-        _occurrence_counts([self.word1, self.word2])
-        self.n = (len(self.word1) + len(self.word2)) // 2
 
-    def key(self) -> CanonicalKey:
-        return _canon_double(self.word1, self.word2)
-
-    def canonical(self) -> "DoubleChordDiagram":
-        return from_key(self.key())
-
-    def __repr__(self):
-        return f"DoubleChordDiagram({self.word1!r}, {self.word2!r})"
-
-
-class FramedLinearDiagram:
+class FramedLinearDiagram(_OneWordDiagram):
     """Linear double-occurrence word with framings; word order is the line's
     orientation."""
 
     kind = "linear"
 
-    def __init__(self, word, framing):
-        self.word = tuple(word)
-        counts = _occurrence_counts([self.word])
-        self.framing = _checked_framing(framing, counts)
-        self.n = len(self.word) // 2
 
-    def tokens(self):
-        return tuple((lab, self.framing[lab]) for lab in self.word)
-
-    def key(self) -> CanonicalKey:
-        return _canon_linear(_codes(self.word, self.framing))
-
-    def canonical(self) -> "FramedLinearDiagram":
-        return from_key(self.key())
-
-    def __repr__(self):
-        return f"FramedLinearDiagram({self.word!r}, {self.framing!r})"
-
-
-class DoubleLinearDiagram:
+class DoubleLinearDiagram(_TwoWordDiagram):
     """Chords distributed over two oriented lines; the lines are an ordered
     pair and are never exchanged."""
 
     kind = "dlinear"
 
-    def __init__(self, word1, word2):
-        self.word1 = tuple(word1)
-        self.word2 = tuple(word2)
-        _occurrence_counts([self.word1, self.word2])
-        self.n = (len(self.word1) + len(self.word2)) // 2
 
-    def key(self) -> CanonicalKey:
-        return _canon_dlinear(self.word1, self.word2)
-
-    def canonical(self) -> "DoubleLinearDiagram":
-        return from_key(self.key())
-
-    def __repr__(self):
-        return f"DoubleLinearDiagram({self.word1!r}, {self.word2!r})"
+#: The public diagram class of each kind.
+_CLASSES = {
+    cls.kind: cls
+    for cls in (FramedChordDiagram, DoubleChordDiagram, FramedLinearDiagram, DoubleLinearDiagram)
+}
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +186,15 @@ def _codes(word, framing):
     code ``2k + f``, so the lowest bit of a code is its chord's framing."""
     index = {}
     return tuple([2 * index.setdefault(lab, len(index)) + framing[lab] for lab in word])
+
+
+def _key_words(key):
+    """The int words of a key: the code ``2 * number + framing`` of every
+    token of a one-word key (as ``_codes`` encodes, the low bit is the
+    framing), or the two number words of a two-word key."""
+    if key.kind in ("framed", "linear"):
+        return (tuple([2 * num + fr for num, fr in key.payload]),)
+    return key.payload
 
 
 class _Tokens(dict):
@@ -371,17 +368,13 @@ _SPELLED = _Spellings()
 
 def from_key(key: CanonicalKey):
     """Rebuild a diagram (with spelled labels A, B, C, ...) from its key."""
-    if key.kind in ("framed", "linear"):
+    cls = _CLASSES.get(key.kind)
+    if cls is None:
+        raise InvalidArgumentError(f"unknown kind {key.kind!r}")
+    if issubclass(cls, _OneWordDiagram):
         word = tuple([_SPELLED[num] for num, _ in key.payload])
-        framing = {_SPELLED[num]: fr for num, fr in key.payload}
-        cls = FramedChordDiagram if key.kind == "framed" else FramedLinearDiagram
-        return cls(word, framing)
-    if key.kind in ("double", "dlinear"):
-        w1 = tuple([_SPELLED[num] for num in key.payload[0]])
-        w2 = tuple([_SPELLED[num] for num in key.payload[1]])
-        cls = DoubleChordDiagram if key.kind == "double" else DoubleLinearDiagram
-        return cls(w1, w2)
-    raise ValueError(f"unknown kind {key.kind!r}")
+        return cls(word, {_SPELLED[num]: fr for num, fr in key.payload})
+    return cls(*[tuple([_SPELLED[num] for num in key.payload[i]]) for i in (0, 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -494,8 +487,7 @@ def closure(g: FramedLinearDiagram) -> FramedChordDiagram:
     canonical form, which makes the operation independent of where the circle
     is later cut open again.
     """
-    if not isinstance(g, FramedLinearDiagram):
-        raise TypeError(f"expected FramedLinearDiagram, got {type(g).__name__}")
+    _expect(FramedLinearDiagram, g)
     return FramedChordDiagram(g.word, g.framing).canonical()
 
 
@@ -511,8 +503,7 @@ def coproduct(d: FramedChordDiagram) -> dict:
     coefficient; both components are canonicalized and equal pairs are
     aggregated, so coefficients may exceed 1 while the total mass stays 2^n.
     """
-    if not isinstance(d, FramedChordDiagram):
-        raise TypeError(f"expected FramedChordDiagram, got {type(d).__name__}")
+    _expect(FramedChordDiagram, d)
     chords = []
     for lab in d.word:
         if lab not in chords:

@@ -12,20 +12,17 @@ from __future__ import annotations
 
 from .algebra import ModuleElement
 from .diagrams import (
-    DoubleChordDiagram,
-    DoubleLinearDiagram,
     FramedChordDiagram,
     FramedLinearDiagram,
     InvalidArgumentError,
     _CANONICALIZERS,
+    _CLASSES,
+    _expect,
 )
 
-#: The parity map of each framed kind: the diagram class it expands, the
-#: image kind and the image diagram class (two circles or two lines).
-_PARITY = {
-    "framed": (FramedChordDiagram, "double", DoubleChordDiagram),
-    "linear": (FramedLinearDiagram, "dlinear", DoubleLinearDiagram),
-}
+#: The image kind of the parity map of each framed kind: two circles or two
+#: lines.
+_PARITY = {"framed": "double", "linear": "dlinear"}
 
 
 def _split_summands(word, framing):
@@ -57,16 +54,9 @@ def _split_summands(word, framing):
         )
 
 
-def _checked(kind, d):
-    source = _PARITY[kind][0]
-    if not isinstance(d, source):
-        raise TypeError(f"expected {source.__name__}, got {type(d).__name__}")
-    return d
-
-
 def _summands(kind, d):
-    d = _checked(kind, d)
-    image = _PARITY[kind][2]
+    _expect(_CLASSES[kind], d)
+    image = _CLASSES[_PARITY[kind]]
     labels = tuple(dict.fromkeys(d.word))
     for mask, w1, w2 in _split_summands(d.word, d.framing):
         sides = {}
@@ -81,7 +71,7 @@ def _expansion(kind, terms):
     or linear kind.  Every summand is canonicalized directly, without
     building a diagram object, and its coefficient is added into one dict
     for the whole call."""
-    image_kind = _PARITY[kind][1]
+    image_kind = _PARITY[kind]
     canon = _CANONICALIZERS[image_kind]
     image = {}
     for key, coeff in terms:
@@ -93,9 +83,10 @@ def _expansion(kind, terms):
 
 
 def _psi(kind, d):
+    _expect(_CLASSES[kind], d)
     # split the key's numbered word, not the labels as written, so that
     # every relabelling of a diagram reaches the cache as the same words
-    return _expansion(kind, [(_checked(kind, d).key(), 1)])
+    return _expansion(kind, [(d.key(), 1)])
 
 
 def _image_kind(kind):
@@ -103,7 +94,7 @@ def _image_kind(kind):
     for a kind it does not expand."""
     if kind not in _PARITY:
         raise InvalidArgumentError(f"the parity map expands framed or linear elements, got {kind}")
-    return _PARITY[kind][1]
+    return _PARITY[kind]
 
 
 def parity_module(u: ModuleElement) -> ModuleElement:

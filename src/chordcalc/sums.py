@@ -19,8 +19,10 @@ from .diagrams import (
     FramedChordDiagram,
     FramedLinearDiagram,
     InvalidArgumentError,
-    _canon_framed,
+    _CANONICALIZERS,
     _codes,
+    _expect,
+    _key_words,
     enumerate_diagrams,
     from_key,
 )
@@ -67,25 +69,31 @@ def cut_open(d: FramedChordDiagram, arc) -> FramedLinearDiagram:
     return FramedLinearDiagram(word, d.framing)
 
 
-def _tagged(diagram, tag):
-    word = tuple((tag, lab) for lab in diagram.word)
-    framing = {(tag, lab): fr for lab, fr in diagram.framing.items()}
-    return word, framing
-
-
-def _sum_key(codes1, a1, codes2, a2) -> CanonicalKey:
-    """Key of the framed connected sum of two code words (see
-    ``diagrams._codes``) cut at arcs ``a1`` and ``a2`` (already checked):
-    each word is rotated to start after its cut, the second word's labels
-    are shifted past the first's, and the two lines are concatenated."""
-    # a code of a word of length L is at most L + 1, and the shift is even,
-    # so the framing bits stay
-    shift = len(codes1) + 2
-    return _canon_framed(
-        codes1[a1 + 1 :]
-        + codes1[: a1 + 1]
-        + tuple([c + shift for c in codes2[a2 + 1 :] + codes2[: a2 + 1]])
+def _joined(kind, words1, words2) -> CanonicalKey:
+    """Key of the ``kind`` diagram whose ``i``-th word is the ``i``-th of
+    ``words1`` followed by the ``i``-th of ``words2``; both are int words of
+    one diagram each, codes or key numbers (see ``diagrams._key_words``)."""
+    # a code or number in words of total length L is at most L + 1, and the
+    # shift is even, so the second diagram's labels are new and keep their
+    # framing bits
+    shift = sum(map(len, words1)) + 2
+    return _CANONICALIZERS[kind](
+        *[w1 + tuple([c + shift for c in w2]) for w1, w2 in zip(words1, words2)]
     )
+
+
+def _cut(codes, arc):
+    """A framed code word (see ``diagrams._codes``) cut at ``arc`` (already
+    checked), as the one word ``_joined`` takes: rotated to start after the
+    cut."""
+    return (codes[arc + 1 :] + codes[: arc + 1],)
+
+
+def _key_sum(k1, k2) -> CanonicalKey:
+    """Key of the connected sum of two linear or two dlinear keys.  Lines
+    are never rotated, so relabelling an operand relabels the sum, and the
+    sum of two keys is the key of the sum of any diagrams they stand for."""
+    return _joined(k1.kind, _key_words(k1), _key_words(k2))
 
 
 def connected_sum_framed(d1, c1, d2, c2) -> FramedChordDiagram:
@@ -96,23 +104,22 @@ def connected_sum_framed(d1, c1, d2, c2) -> FramedChordDiagram:
     diagram the outcome only depends on the cut arcs, not on which rotated
     representative stored them; the free loop is a two-sided identity.
     """
-    a1 = _arc_of(c1, d1)
-    a2 = _arc_of(c2, d2)
-    return from_key(_sum_key(_codes(d1.word, d1.framing), a1, _codes(d2.word, d2.framing), a2))
+    _expect(FramedChordDiagram, d1, d2)
+    cut1 = _cut(_codes(d1.word, d1.framing), _arc_of(c1, d1))
+    cut2 = _cut(_codes(d2.word, d2.framing), _arc_of(c2, d2))
+    return from_key(_joined("framed", cut1, cut2))
 
 
 def connected_sum_linear(g1, g2) -> FramedLinearDiagram:
     """Concatenate two framed linear diagrams along the orientation."""
-    w1, f1 = _tagged(g1, 0)
-    w2, f2 = _tagged(g2, 1)
-    return FramedLinearDiagram(w1 + w2, {**f1, **f2}).canonical()
+    _expect(FramedLinearDiagram, g1, g2)
+    return from_key(_key_sum(g1.key(), g2.key()))
 
 
 def connected_sum_dlinear(h1, h2) -> DoubleLinearDiagram:
     """Line-wise concatenation: first line to first line, second to second."""
-    word1 = tuple((0, lab) for lab in h1.word1) + tuple((1, lab) for lab in h2.word1)
-    word2 = tuple((0, lab) for lab in h1.word2) + tuple((1, lab) for lab in h2.word2)
-    return DoubleLinearDiagram(word1, word2).canonical()
+    _expect(DoubleLinearDiagram, h1, h2)
+    return from_key(_key_sum(h1.key(), h2.key()))
 
 
 @dataclass(frozen=True)
@@ -155,13 +162,15 @@ def search_counterexample(max_chords: int):
         for n1 in range(total + 1):
             n2 = total - n1
             for k1 in enumerate_diagrams("framed", n1):
-                codes1 = tuple([2 * c + f for c, f in k1.payload])
+                (codes1,) = _key_words(k1)
+                cuts1 = [_cut(codes1, a1) for a1 in range(max(2 * n1, 1))]
                 for k2 in enumerate_diagrams("framed", n2):
-                    codes2 = tuple([2 * c + f for c, f in k2.payload])
+                    (codes2,) = _key_words(k2)
+                    cuts2 = [_cut(codes2, a2) for a2 in range(max(2 * n2, 1))]
                     outcomes = []
-                    for a1 in range(max(2 * n1, 1)):
-                        for a2 in range(max(2 * n2, 1)):
-                            key = _sum_key(codes1, a1, codes2, a2)
+                    for a1, cut1 in enumerate(cuts1):
+                        for a2, cut2 in enumerate(cuts2):
+                            key = _joined("framed", cut1, cut2)
                             w = weights.get(key)
                             if w is None:
                                 w = weights[key] = weight(psi_module(ModuleElement.single(key)))

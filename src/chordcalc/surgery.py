@@ -22,11 +22,11 @@ from functools import lru_cache
 
 from .algebra import KindMismatchError, ModuleElement
 from .diagrams import (
-    DoubleChordDiagram,
-    DoubleLinearDiagram,
     FramedChordDiagram,
     InvalidDiagramError,
+    _expect,
     _occurrence_counts,
+    _TwoWordDiagram,
 )
 
 
@@ -132,11 +132,9 @@ def smoothing_graph(d) -> SmoothingGraph:
     All chords smooth with the orientation-coherent rule; circle arcs close
     up cyclically while line arcs leave the two extremities as free ends.
     """
-    if isinstance(d, DoubleChordDiagram):
-        return _build_graph([list(d.word1), list(d.word2)], True, _coherent)
-    if isinstance(d, DoubleLinearDiagram):
-        return _build_graph([list(d.word1), list(d.word2)], False, _coherent)
-    raise TypeError(f"expected a double or dlinear diagram, got {type(d).__name__}")
+    if not isinstance(d, _TwoWordDiagram):
+        raise TypeError(f"expected a double or dlinear diagram, got {type(d).__name__}")
+    return _build_graph([list(d.word1), list(d.word2)], d.kind == "double", _coherent)
 
 
 def _walk_count(words, cyclic, numbered=False):
@@ -208,11 +206,9 @@ def beta(d) -> int:
     any other component; chordless circles and lines contribute one apiece.
     The count equals ``smoothing_graph(d).component_count()``.
     """
-    if isinstance(d, DoubleChordDiagram):
-        return _walk_count((d.word1, d.word2), True)
-    if isinstance(d, DoubleLinearDiagram):
-        return _walk_count((d.word1, d.word2), False)
-    raise TypeError(f"expected a double or dlinear diagram, got {type(d).__name__}")
+    if not isinstance(d, _TwoWordDiagram):
+        raise TypeError(f"expected a double or dlinear diagram, got {type(d).__name__}")
+    return _walk_count((d.word1, d.word2), d.kind == "double")
 
 
 def beta_framed(d: FramedChordDiagram) -> int:
@@ -221,8 +217,7 @@ def beta_framed(d: FramedChordDiagram) -> int:
     A supporting diagnostic (it calibrates the framed relation family); the
     parity map never consumes it.
     """
-    if not isinstance(d, FramedChordDiagram):
-        raise TypeError(f"expected FramedChordDiagram, got {type(d).__name__}")
+    _expect(FramedChordDiagram, d)
 
     def gluer(lab, e1, e2):
         if d.framing[lab] == 0:

@@ -11,10 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import ModuleElement, generate_2T_pairs, generate_4T, quotient_equal
-from .diagrams import enumerate_diagrams, from_key
-from .parity import _image_kind, parity_module, psi_l, psi_module
-from .sums import connected_sum_dlinear, connected_sum_linear
-from .surgery import _beta_of_key, beta, weight
+from .diagrams import enumerate_diagrams
+from .parity import _image_kind, parity_module, psi_module
+from .sums import _key_sum
+from .surgery import _beta_of_key, weight
 
 
 @dataclass(frozen=True)
@@ -103,12 +103,10 @@ def sum_symmetry(max_total: int) -> SweepResult:
     for total in range(max_total + 1):
         for n1 in range(total + 1):
             for k1 in enumerate_diagrams("linear", n1):
-                g1 = from_key(k1)
                 for k2 in enumerate_diagrams("linear", total - n1):
-                    g2 = from_key(k2)
                     checked += 1
-                    w12 = weight(psi_l(connected_sum_linear(g1, g2)))
-                    w21 = weight(psi_l(connected_sum_linear(g2, g1)))
+                    w12 = weight(parity_module(ModuleElement.single(_key_sum(k1, k2))))
+                    w21 = weight(parity_module(ModuleElement.single(_key_sum(k2, k1))))
                     if w12 != w21:
                         failures.append((k1, k2, w12, w21))
     return SweepResult(f"sum symmetry total<={max_total}", checked, tuple(failures))
@@ -120,12 +118,10 @@ def beta_additivity(max_each: int) -> SweepResult:
     failures = []
     checked = 0
     for k1 in pool:
-        h1 = from_key(k1)
-        b1 = beta(h1)
+        b1 = _beta_of_key(k1)
         for k2 in pool:
-            h2 = from_key(k2)
             checked += 1
-            deficit = b1 + beta(h2) - beta(connected_sum_dlinear(h1, h2))
+            deficit = b1 + _beta_of_key(k2) - _beta_of_key(_key_sum(k1, k2))
             if deficit not in (1, 2):
                 failures.append((k1, k2, deficit))
     return SweepResult(f"beta additivity n<={max_each} each", checked, tuple(failures))

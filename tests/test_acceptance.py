@@ -93,12 +93,14 @@ def test_criterion_4_linear_analogues():
 
 def test_criterion_5_sum_symmetry_and_beta_additivity():
     with criterion(5, "w_l symmetric in the summands; beta deficit is 1 or 2"):
-        symmetry = verify.sum_symmetry(3)
-        assert symmetry.checked == 321
-        assert symmetry.failures == ()
-        additivity = verify.beta_additivity(2)
-        assert additivity.checked == 361
-        assert additivity.failures == ()
+        sizes = ((3, 321, 2, 361), (4, 4305, 3, 15376))
+        for max_total, sum_pairs, max_each, dlinear_pairs in sizes:
+            symmetry = verify.sum_symmetry(max_total)
+            assert symmetry.checked == sum_pairs
+            assert symmetry.failures == ()
+            additivity = verify.beta_additivity(max_each)
+            assert additivity.checked == dlinear_pairs
+            assert additivity.failures == ()
 
 
 def test_criterion_6_psi_structure():

@@ -24,8 +24,10 @@ from chordcalc.algebra import (
 from chordcalc.diagrams import (
     _CANONICALIZERS,
     KINDS,
+    CanonicalKey,
     DoubleChordDiagram,
     FramedChordDiagram,
+    InvalidArgumentError,
     enumerate_diagrams,
     from_key,
 )
@@ -334,8 +336,19 @@ def test_moves_match_the_list_copying_oracle(kind, n):
 
 
 def test_2t_pairs_kind_restricted():
-    with pytest.raises(ValueError):
-        generate_2T_pairs("framed", 2)
+    for kind in ("framed", "linear"):
+        with pytest.raises(InvalidArgumentError, match="2T pairs are generated"):
+            generate_2T_pairs(kind, 2)
+
+
+def test_unknown_kinds_are_argument_errors():
+    for make in (
+        lambda: generate_4T("triple", 2),
+        lambda: ModuleElement("triple"),
+        lambda: from_key(CanonicalKey("triple", ())),
+    ):
+        with pytest.raises(InvalidArgumentError, match="unknown kind 'triple'"):
+            make()
 
 
 def test_2t_pairs_sorted_and_unordered():

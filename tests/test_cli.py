@@ -19,6 +19,7 @@ from chordcalc.cli import (
     parse,
 )
 from chordcalc.diagrams import (
+    CanonicalKey,
     DoubleChordDiagram,
     DoubleLinearDiagram,
     FramedChordDiagram,
@@ -353,6 +354,15 @@ def test_format_empty_sides():
     assert format_diagram(DoubleChordDiagram((), ()).key()) == "dcd: |"
     assert format_diagram(FramedChordDiagram((), {}).key()) == "cd:"
     assert format_element(ModuleElement.zero("double")) == "0 [dcd: |]"
+    # the zero element prints the one degree-0 key of its kind
+    for kind, payload, text in (
+        ("framed", (), "0 [cd:]"),
+        ("double", ((), ()), "0 [dcd: |]"),
+        ("linear", (), "0 [lcd:]"),
+        ("dlinear", ((), ()), "0 [dlcd: |]"),
+    ):
+        assert enumerate_diagrams(kind, 0) == (CanonicalKey(kind, payload),)
+        assert format_element(ModuleElement.zero(kind)) == text
 
 
 # --- command dispatch --------------------------------------------------------------

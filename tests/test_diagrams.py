@@ -516,8 +516,24 @@ def test_spelling_table_matches_spell_label():
     assert 0 not in _SPELLED
     # keys that are not canonical are spelled as before
     assert format_diagram(CanonicalKey("framed", ((30, 0), (30, 0)))) == "cd: AD0 AD0"
-    rebuilt = from_key(CanonicalKey("dlinear", ((5,), (5,))))
-    assert repr(rebuilt) == "DoubleLinearDiagram(('E',), ('E',))"
+
+
+@pytest.mark.parametrize(
+    "payload, cls, text",
+    [
+        (((5, 1), (5, 1)), FramedChordDiagram, "FramedChordDiagram(('E', 'E'), {'E': 1})"),
+        (((5,), (5,)), DoubleChordDiagram, "DoubleChordDiagram(('E',), ('E',))"),
+        (((5, 0), (5, 0)), FramedLinearDiagram, "FramedLinearDiagram(('E', 'E'), {'E': 0})"),
+        (((5,), (5,)), DoubleLinearDiagram, "DoubleLinearDiagram(('E',), ('E',))"),
+    ],
+    ids=KINDS,
+)
+def test_from_key_builds_the_class_of_its_kind(payload, cls, text):
+    # keys that are not canonical are spelled as before, into the public
+    # class of their kind, which names itself in its repr
+    rebuilt = from_key(CanonicalKey(cls.kind, payload))
+    assert type(rebuilt) is cls
+    assert repr(rebuilt) == text
 
 
 # --- closure and reversal ------------------------------------------------------

@@ -3,6 +3,7 @@
 import pytest
 
 from chordcalc.diagrams import (
+    DoubleChordDiagram,
     DoubleLinearDiagram,
     FramedChordDiagram,
     FramedLinearDiagram,
@@ -191,6 +192,64 @@ def test_deficit_constant_across_parity_summands():
                 for h2 in support2
             }
             assert len(deficits) == 1
+
+
+# --- kinds and the tagged-label oracle -----------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "sum_of, right, wrong",
+    [
+        (
+            lambda a, b: connected_sum_framed(a, 0, b, 0),
+            fcd("A A", {"A": 1}),
+            fld("A A", {"A": 1}),
+        ),
+        (connected_sum_linear, fld("A A", {"A": 1}), fcd("A A", {"A": 1})),
+        (connected_sum_dlinear, dlcd("A", "A"), DoubleChordDiagram(("A",), ("A",))),
+    ],
+    ids=["framed", "linear", "dlinear"],
+)
+def test_sums_refuse_diagrams_of_another_kind(sum_of, right, wrong):
+    message = f"expected {type(right).__name__}, got {type(wrong).__name__}"
+    for operands in ((wrong, wrong), (right, wrong), (wrong, right)):
+        with pytest.raises(TypeError, match=message):
+            sum_of(*operands)
+    sum_of(right, right)
+
+
+def tagged_sum_linear(g1, g2):
+    """The linear sum with every label tagged by its operand, ``(0, label)``
+    or ``(1, label)``, and the tagged line canonicalized as a diagram."""
+    word = tuple((0, lab) for lab in g1.word) + tuple((1, lab) for lab in g2.word)
+    framing = {(0, lab): fr for lab, fr in g1.framing.items()}
+    framing.update({(1, lab): fr for lab, fr in g2.framing.items()})
+    return FramedLinearDiagram(word, framing).canonical()
+
+
+def tagged_sum_dlinear(h1, h2):
+    """The line-wise dlinear sum on tagged labels, as above."""
+    word1 = tuple((0, lab) for lab in h1.word1) + tuple((1, lab) for lab in h2.word1)
+    word2 = tuple((0, lab) for lab in h1.word2) + tuple((1, lab) for lab in h2.word2)
+    return DoubleLinearDiagram(word1, word2).canonical()
+
+
+def test_sums_match_the_tagged_label_oracle():
+    linear = [[from_key(k) for k in enumerate_diagrams("linear", n)] for n in range(5)]
+    pairs = [
+        (g1, g2)
+        for total in range(5)
+        for n1 in range(total + 1)
+        for g1 in linear[n1]
+        for g2 in linear[total - n1]
+    ]
+    for g1, g2 in pairs:
+        assert connected_sum_linear(g1, g2).key() == tagged_sum_linear(g1, g2).key()
+    pool = [from_key(k) for n in range(4) for k in enumerate_diagrams("dlinear", n)]
+    for h1 in pool:
+        for h2 in pool:
+            assert connected_sum_dlinear(h1, h2).key() == tagged_sum_dlinear(h1, h2).key()
+    assert len(pairs) + len(pool) ** 2 == 19_681
 
 
 # --- the search ----------------------------------------------------------------------
