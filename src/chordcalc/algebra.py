@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
 
 from .diagrams import (
     _CANONICALIZERS,
@@ -43,7 +42,7 @@ from .diagrams import (
     _numbered_codes,
     enumerate_diagrams,
 )
-from .intlinalg import _add_multiple, _sparse_hnf
+from .intlinalg import _reduce, _sparse_hnf
 
 #: Largest degree at which quotient equality is decided by default.  Above
 #: it the decision raises :class:`UndecidedError` instead of guessing.
@@ -132,14 +131,7 @@ class ModuleElement:
             return NotImplemented
         if other.kind != self.kind:
             raise KindMismatchError(f"cannot add {self.kind} and {other.kind} elements")
-        merged = dict(self._terms)
-        for key, coeff in other._terms.items():
-            new = merged.get(key, 0) + coeff
-            if new:
-                merged[key] = new
-            else:
-                merged.pop(key, None)
-        return ModuleElement(self.kind, merged)
+        return ModuleElement(self.kind, [*self._terms.items(), *other._terms.items()])
 
     def __neg__(self):
         return ModuleElement(self.kind, {k: -c for k, c in self._terms.items()})
@@ -396,34 +388,6 @@ def _vectorize(element, index):
     return {index[key]: coeff for key, coeff in element._terms.items()}
 
 
-def _in_span(vec, basis, rational):
-    """Whether the sparse vector ``vec`` lies in the Z-span (or, if
-    ``rational``, the Q-span) of the echelon ``basis``, a map from pivot
-    column to sparse row.
-
-    The residual stays sparse and is reduced at its least column: a column
-    with no basis row there means "not in the span", over Z and over Q.  Over
-    Q, a residual whose entry the pivot does not divide is first multiplied
-    by the smallest integer that makes it divisible; a nonzero scale never
-    changes Q-membership, so the reduction stays integer-only.
-    """
-    residual = dict(vec)
-    while residual:
-        c = min(residual)
-        row = basis.get(c)
-        if row is None:
-            return False
-        q, rem = divmod(residual[c], row[c])
-        if rem:
-            if not rational:
-                return False
-            scale = row[c] // gcd(rem, row[c])
-            residual = {k: scale * x for k, x in residual.items()}
-            q = residual[c] // row[c]
-        _add_multiple(residual, -q, row)
-    return True
-
-
 def quotient_equal(u: ModuleElement, v: ModuleElement, rational=False, max_degree=None) -> bool:
     """Exact equality of ``u`` and ``v`` in the quotient by the 4T relations.
 
@@ -433,7 +397,7 @@ def quotient_equal(u: ModuleElement, v: ModuleElement, rational=False, max_degre
     Z-modules); ``rational=True`` switches to the Q-span, a diagnostic that is
     coarser or equal, decided on the same HNF basis.  Degrees above the
     ceiling raise :class:`UndecidedError` rather than ever returning a wrong
-    boolean.
+    boolean, and a key that is not canonical raises ``InvalidArgumentError``.
     """
     if not isinstance(u, ModuleElement) or not isinstance(v, ModuleElement):
         raise TypeError("quotient_equal compares ModuleElements")
@@ -449,7 +413,12 @@ def quotient_equal(u: ModuleElement, v: ModuleElement, rational=False, max_degre
                 f"undecided: degree {n} exceeds the ceiling {ceiling} for kind {u.kind}"
             )
         index, basis = _integer_lattice(u.kind, n)
-        vec = _vectorize(difference.homogeneous_part(n), index)
-        if not _in_span(vec, basis, rational):
+        try:
+            vec = _vectorize(difference.homogeneous_part(n), index)
+        except KeyError as exc:
+            raise InvalidArgumentError(
+                f"not a canonical {u.kind} key of degree {n}: {exc.args[0]!r}"
+            ) from None
+        if _reduce(vec, basis, rational):
             return False
     return True

@@ -32,25 +32,20 @@ from .algebra import (
 )
 from .diagrams import (
     CanonicalKey,
-    DoubleChordDiagram,
-    DoubleLinearDiagram,
-    FramedChordDiagram,
-    FramedLinearDiagram,
     InvalidArgumentError,
     InvalidDiagramError,
     _CANONICALIZERS,
-    _SPELLED,
-    closure,
+    _key_words,
+    _spelled_words,
     coproduct,
     enumerate_diagrams,
     from_key,
 )
 from .parity import parity_module
-from .surgery import beta, beta_framed, weight
+from .surgery import _beta_of_key, beta_framed, weight
 from .sums import (
-    connected_sum_dlinear,
+    _key_sum,
     connected_sum_framed,
-    connected_sum_linear,
     search_counterexample,
     witness_quotient_split,
 )
@@ -81,13 +76,19 @@ def parse(text: str):
     Diagram texts yield diagram objects in canonical form; element texts
     yield :class:`ModuleElement`.
     """
+    value = _parse(text)
+    return value if isinstance(value, ModuleElement) else from_key(value)
+
+
+def _parse(text):
+    """The canonical key of a diagram text, or the element of an element text."""
     stripped = text.lstrip()
     offset = len(text) - len(stripped)
     if not stripped:
         raise ParseError("empty input", offset + 1)
     if stripped[0] in "-0123456789":
         return _parse_element(text)
-    return from_key(_parse_key(text, 0))
+    return _parse_key(text, 0)
 
 
 def _parse_key(text, offset):
@@ -204,12 +205,10 @@ def format_diagram(obj) -> str:
     """Canonical text of a diagram or key; stable under parse/format."""
     key = obj if isinstance(obj, CanonicalKey) else obj.key()
     prefix = _KIND_TO_PREFIX[key.kind] + ":"
+    words = _spelled_words(key)
     if key.kind in ("framed", "linear"):
-        tokens = [f"{_SPELLED[num]}{fr}" for num, fr in key.payload]
-        return " ".join([prefix] + tokens) if tokens else prefix
-    side1 = [_SPELLED[num] for num in key.payload[0]]
-    side2 = [_SPELLED[num] for num in key.payload[1]]
-    return " ".join([prefix] + side1 + ["|"] + side2).rstrip()
+        return " ".join([prefix] + [f"{label}{fr}" for label, fr in words[0]])
+    return " ".join([prefix, *words[0], "|", *words[1]]).rstrip()
 
 
 def format_element(element: ModuleElement) -> str:
@@ -233,27 +232,23 @@ def format_pair_sum(pairs: dict) -> str:
 
 
 def _as_element(text):
-    value = parse(text)
-    if isinstance(value, ModuleElement):
-        return value
-    return ModuleElement.single(value.key())
+    value = _parse(text)
+    return value if isinstance(value, ModuleElement) else ModuleElement.single(value)
 
 
 def _cmd_canon(args):
-    value = parse(args.input)
-    if isinstance(value, ModuleElement):
-        return 0, format_element(value)
-    return 0, format_diagram(value)
+    value = _parse(args.input)
+    return 0, format_element(value) if isinstance(value, ModuleElement) else format_diagram(value)
 
 
 def _cmd_beta(args):
-    d = parse(args.diagram)
-    if isinstance(d, ModuleElement):
+    key = _parse(args.diagram)
+    if isinstance(key, ModuleElement):
         raise ParseError("beta takes a single diagram, not an element", 1)
-    if isinstance(d, (DoubleChordDiagram, DoubleLinearDiagram)):
-        return 0, str(beta(d))
-    if isinstance(d, FramedChordDiagram):
-        return 0, str(beta_framed(d))
+    if key.kind in ("double", "dlinear"):
+        return 0, str(_beta_of_key(key))
+    if key.kind == "framed":
+        return 0, str(beta_framed(from_key(key)))
     raise ParseError("beta is defined for dcd, dlcd, and cd diagrams", 1)
 
 
@@ -267,40 +262,38 @@ def _cmd_parity(args):
 
 
 def _cmd_weight(args):
-    value = _as_element(args.input)
-    return 0, str(weight(value))
+    return 0, str(weight(_as_element(args.input)))
 
 
 def _cmd_consum(args):
-    d1 = parse(args.first)
-    d2 = parse(args.second)
-    if isinstance(d1, ModuleElement) or isinstance(d2, ModuleElement):
+    k1 = _parse(args.first)
+    k2 = _parse(args.second)
+    if isinstance(k1, ModuleElement) or isinstance(k2, ModuleElement):
         raise ParseError("consum takes two diagrams", 1)
-    if type(d1) is not type(d2):
+    if k1.kind != k2.kind:
         raise ParseError("consum operands must have the same kind", 1)
-    if isinstance(d1, FramedChordDiagram):
-        result = connected_sum_framed(d1, args.cut1, d2, args.cut2)
-    elif isinstance(d1, FramedLinearDiagram):
-        result = connected_sum_linear(d1, d2)
-    elif isinstance(d1, DoubleLinearDiagram):
-        result = connected_sum_dlinear(d1, d2)
-    else:
+    if k1.kind == "framed":
+        result = connected_sum_framed(from_key(k1), args.cut1, from_key(k2), args.cut2)
+    elif k1.kind == "double":
         raise ParseError("no connected sum is defined for dcd diagrams", 1)
+    else:
+        result = _key_sum(k1, k2)
     return 0, format_diagram(result)
 
 
 def _cmd_closure(args):
-    g = parse(args.diagram)
-    if not isinstance(g, FramedLinearDiagram):
+    key = _parse(args.diagram)
+    if isinstance(key, ModuleElement) or key.kind != "linear":
         raise ParseError("closure takes an lcd diagram", 1)
-    return 0, format_diagram(closure(g))
+    # the line's code word, read cyclically, is the word of its closure
+    return 0, format_diagram(_CANONICALIZERS["framed"](*_key_words(key)))
 
 
 def _cmd_coproduct(args):
-    d = parse(args.diagram)
-    if not isinstance(d, FramedChordDiagram):
+    key = _parse(args.diagram)
+    if isinstance(key, ModuleElement) or key.kind != "framed":
         raise ParseError("coproduct takes a cd diagram", 1)
-    return 0, format_pair_sum(coproduct(d))
+    return 0, format_pair_sum(coproduct(from_key(key)))
 
 
 def _cmd_quotient_eq(args):

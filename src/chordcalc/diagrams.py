@@ -366,15 +366,29 @@ class _Spellings(dict):
 _SPELLED = _Spellings()
 
 
+def _spelled_words(key):
+    """The words of a key with its chord numbers spelled: ``(label,
+    framing)`` tokens for a one-word key, labels for a two-word key.  A
+    one-word key that frames a chord twice, or a two-word key without
+    exactly two words, raises ``InvalidDiagramError``."""
+    if key.kind in ("framed", "linear"):
+        if len(set(key.payload)) != len(dict(key.payload)):
+            raise InvalidDiagramError(f"a {key.kind} key gives a chord two framings")
+        return (tuple([(_SPELLED[num], fr) for num, fr in key.payload]),)
+    if len(key.payload) != 2:
+        raise InvalidDiagramError(f"a {key.kind} key needs two words")
+    return tuple([tuple([_SPELLED[num] for num in word]) for word in key.payload])
+
+
 def from_key(key: CanonicalKey):
     """Rebuild a diagram (with spelled labels A, B, C, ...) from its key."""
     cls = _CLASSES.get(key.kind)
     if cls is None:
         raise InvalidArgumentError(f"unknown kind {key.kind!r}")
+    words = _spelled_words(key)
     if issubclass(cls, _OneWordDiagram):
-        word = tuple([_SPELLED[num] for num, _ in key.payload])
-        return cls(word, {_SPELLED[num]: fr for num, fr in key.payload})
-    return cls(*[tuple([_SPELLED[num] for num in key.payload[i]]) for i in (0, 1)])
+        return cls([label for label, _ in words[0]], dict(words[0]))
+    return cls(*words)
 
 
 # ---------------------------------------------------------------------------

@@ -5,15 +5,17 @@ point is ever involved, so span-membership answers are exact.  There is one
 elimination, :func:`_sparse_hnf`.  The relation matrices the 4T lattices are
 built from hold about four nonzeros per row in up to 10,395 columns, so it
 takes ``{column: nonzero}`` rows and returns its basis sparse; the lattice
-path calls it directly.  The public functions take a dense ``IntMatrix`` and
-run the same engine on augmented rows: :func:`hnf` on ``[a | I]``, reading
-the unimodular ``U`` off the unit columns, and :func:`solve_diophantine` on
-the columns of ``a`` tagged the same way, reading the solution off the tags.
+path calls it directly.  There is one reduction by such a basis,
+:func:`_reduce`.  The public functions take a dense ``IntMatrix`` and run
+the same engine on augmented rows: :func:`hnf` on ``[a | I]``, reading the
+unimodular ``U`` off the unit columns, and :func:`solve_diophantine` on the
+columns of ``a`` tagged the same way, reading the solution off the tags.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
+from math import gcd
 
 
 class IntMatrix:
@@ -190,17 +192,38 @@ def _reduce_tail(row, c, basis):
                 heappush(todo, j)
 
 
+def _reduce(vec, basis, rational=False):
+    """What is left of the sparse vector ``vec`` once it is reduced at its
+    least column by the echelon ``basis`` (pivot column -> sparse row), for
+    as long as a row has its pivot there and, over Z, divides the entry: it
+    is empty exactly when ``vec`` lies in the Z-span of the basis (with
+    ``rational``, the Q-span).  Over Q an entry the pivot does not divide is
+    first scaled by the least integer that makes it divisible, which keeps
+    Q-membership and keeps the arithmetic integer.
+    """
+    residual = dict(vec)
+    while residual and (row := basis.get(c := min(residual))):
+        q, rem = divmod(residual[c], row[c])
+        if rem:
+            if not rational:
+                break
+            scale = row[c] // gcd(rem, row[c])
+            residual = {k: scale * x for k, x in residual.items()}
+            q = residual[c] // row[c]
+        _add_multiple(residual, -q, row)
+    return residual
+
+
 def solve_diophantine(a: IntMatrix, b):
     """Some integer solution ``x`` of ``a @ x = b``, or ``None``.
 
     The columns of ``a`` span an integer lattice.  :func:`_sparse_hnf` runs
     on those columns, column ``j`` tagged by a unit entry at ``a.rows + j``,
     so every basis row is ``(a @ t, t)`` for the integer combination ``t``
-    of columns it stands for.  ``b`` is reduced at its least column by the
-    basis row with that pivot, the quotient exact at every step.  When the
-    ``a.rows`` leading entries are cleared, ``a @ x = b`` holds for ``x``
-    minus what is left in the tag columns.  A least column without a pivot
-    row, or a pivot that does not divide, means that ``b`` is outside the
+    of columns it stands for.  ``b`` is reduced over Z by the basis rows with
+    their pivot among the ``a.rows`` leading columns.  When the leading
+    entries are cleared, ``a @ x = b`` holds for ``x`` minus what is left in
+    the tag columns; a leading entry left means that ``b`` is outside the
     lattice.  The answer is exact in both directions: a returned vector
     satisfies the system, and ``None`` means no integer solution exists.
     """
@@ -215,13 +238,8 @@ def solve_diophantine(a: IntMatrix, b):
         {**{i: row[j] for i, row in enumerate(a.entries) if row[j]}, m + j: 1}
         for j in range(a.cols)
     )
-    residual = {i: x for i, x in enumerate(b) if x}
-    while residual and (c := min(residual)) < m:
-        top = basis.get(c)
-        if top is None:
-            return None
-        q, rem = divmod(residual[c], top[c])
-        if rem:
-            return None
-        _add_multiple(residual, -q, top)
+    leading = {c: row for c, row in basis.items() if c < m}
+    residual = _reduce({i: x for i, x in enumerate(b) if x}, leading)
+    if residual and min(residual) < m:
+        return None
     return [-residual.get(m + j, 0) for j in range(a.cols)]

@@ -25,6 +25,7 @@ from .diagrams import (
     FramedChordDiagram,
     InvalidDiagramError,
     _expect,
+    _numbered,
     _occurrence_counts,
     _TwoWordDiagram,
 )
@@ -137,7 +138,7 @@ def smoothing_graph(d) -> SmoothingGraph:
     return _build_graph([list(d.word1), list(d.word2)], d.kind == "double", _coherent)
 
 
-def _walk_count(words, cyclic, numbered=False):
+def _walk_count(words, cyclic):
     """Surgery component count of chords on two circles (or two lines), all
     smoothed coherently, by walking the pairing instead of building it.
 
@@ -154,8 +155,7 @@ def _walk_count(words, cyclic, numbered=False):
     The pass that pairs the endpoints also checks the words.  A label met a
     third time, or left with one endpoint, raises ``InvalidDiagramError``
     (through ``_occurrence_counts``, which names every offending label).
-    With ``numbered``, every label must be a positive ``int``; otherwise
-    ``ValueError`` names the first that is not, after the counts passed.
+    A label that is not a positive ``int`` then raises ``ValueError``.
     """
     partner, spans, bad = [], [], []
     first = {}  # label -> its first endpoint, or -1 once both are seen
@@ -167,7 +167,7 @@ def _walk_count(words, cyclic, numbered=False):
             q = first.setdefault(lab, e)
             if q == e:
                 partner.append(None)
-                if numbered and (type(lab) is not int or lab < 1):
+                if type(lab) is not int or lab < 1:
                     bad.append(lab)
             elif q < 0:  # a third endpoint: this raises
                 _occurrence_counts(words)
@@ -208,7 +208,8 @@ def beta(d) -> int:
     """
     if not isinstance(d, _TwoWordDiagram):
         raise TypeError(f"expected a double or dlinear diagram, got {type(d).__name__}")
-    return _walk_count((d.word1, d.word2), d.kind == "double")
+    numbering = {}
+    return _walk_count([_numbered(w, numbering) for w in (d.word1, d.word2)], d.kind == "double")
 
 
 def beta_framed(d: FramedChordDiagram) -> int:
@@ -238,7 +239,7 @@ def _beta_of_key(key):
     """
     if len(key.payload) != 2:
         raise InvalidDiagramError(f"a {key.kind} key needs two words")
-    return _walk_count(key.payload, key.kind == "double", numbered=True)
+    return _walk_count(key.payload, key.kind == "double")
 
 
 def weight(u: ModuleElement) -> int:

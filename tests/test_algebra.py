@@ -6,13 +6,12 @@ from math import gcd
 
 import pytest
 
-from chordcalc import algebra
+from chordcalc import intlinalg
 from chordcalc.algebra import (
     KindMismatchError,
     ModuleElement,
     RelationGenerator,
     UndecidedError,
-    _in_span,
     _integer_lattice,
     _moves,
     _vectorize,
@@ -31,7 +30,7 @@ from chordcalc.diagrams import (
     enumerate_diagrams,
     from_key,
 )
-from chordcalc.intlinalg import IntMatrix, hnf
+from chordcalc.intlinalg import IntMatrix, _reduce, hnf
 from chordcalc.parity import psi_module
 from chordcalc.surgery import beta, weight
 from dense_hnf import dense_hnf
@@ -548,19 +547,19 @@ def test_rational_membership_scales_past_a_pivot_above_one():
     # framed n <= 4, double n <= 4, linear n <= 3 and dlinear n <= 3 have only
     # pivots of 1 (see LATTICE_SHAPES); these hand-made sparse bases reach the
     # scaling step without building dlinear n = 4 or double n = 5
-    assert not _in_span({0: 1}, {0: {0: 2}}, rational=False)
-    assert _in_span({0: 1}, {0: {0: 2}}, rational=True)
+    assert _reduce({0: 1}, {0: {0: 2}}, rational=False)
+    assert not _reduce({0: 1}, {0: {0: 2}}, rational=True)
     basis = {0: {0: 2, 2: 1}, 1: {1: 2, 2: 1}}
-    assert not _in_span({0: 1, 1: 1, 2: 1}, basis, rational=False)
-    assert _in_span({0: 1, 1: 1, 2: 1}, basis, rational=True)
-    assert not _in_span({0: 1}, basis, rational=True)
-    assert _in_span({0: 2, 1: 2, 2: 2}, basis, rational=False)
+    assert _reduce({0: 1, 1: 1, 2: 1}, basis, rational=False)
+    assert not _reduce({0: 1, 1: 1, 2: 1}, basis, rational=True)
+    assert _reduce({0: 1}, basis, rational=True)
+    assert not _reduce({0: 2, 1: 2, 2: 2}, basis, rational=False)
 
 
 def dense_in_span(vec, hrows, pivots, rational):
-    """The dense membership test that the sparse ``_in_span`` replaced, kept
-    as its oracle: it reduces a dense residual by the dense echelon rows
-    ``hrows`` at every pivot column in ``pivots``."""
+    """The dense membership test that the sparse reduction ``_reduce``
+    replaced, kept as its oracle: it reduces a dense residual by the dense
+    echelon rows ``hrows`` at every pivot column in ``pivots``."""
     residual = list(vec)
     for row, p in zip(hrows, pivots):
         q, rem = divmod(residual[p], row[p])
@@ -582,7 +581,7 @@ def dense_in_span(vec, hrows, pivots, rational):
 )
 def test_sparse_membership_matches_the_dense_oracle(kind, n, monkeypatch):
     scaled = []
-    monkeypatch.setattr(algebra, "gcd", lambda a, b: scaled.append(b) or gcd(a, b))
+    monkeypatch.setattr(intlinalg, "gcd", lambda a, b: scaled.append(b) or gcd(a, b))
     index, basis = _integer_lattice(kind, n)
     hrows = [densify(row, len(index)) for row in basis.values()]
     gens = [g.element for g in generate_4T(kind, n)]
@@ -601,7 +600,7 @@ def test_sparse_membership_matches_the_dense_oracle(kind, n, monkeypatch):
         vec = _vectorize(element, index)
         for rational in (False, True):
             expected = dense_in_span(densify(vec, len(index)), hrows, list(basis), rational)
-            assert _in_span(vec, basis, rational) == expected
+            assert (not _reduce(vec, basis, rational)) == expected
             answers.add(expected)
     assert answers == {True, False}
     if (kind, n) == ("dlinear", 4):
@@ -614,6 +613,16 @@ def test_quotient_kind_mismatch():
         quotient_equal(
             ModuleElement.zero("double"), single(fkey("A A", {"A": 0}))
         )
+
+
+@pytest.mark.parametrize("payload", [((1, 1), ()), ((1, 1, 1), ())])
+def test_quotient_names_a_key_missing_from_its_degree(payload):
+    # the first is a double diagram, but not its canonical key; the second
+    # is no diagram at all
+    key = CanonicalKey("double", payload)
+    with pytest.raises(InvalidArgumentError) as raised:
+        quotient_equal(single(key), ModuleElement.zero("double"))
+    assert str(raised.value) == f"not a canonical double key of degree 1: {key!r}"
 
 
 def test_quotient_degree_ceiling():

@@ -432,6 +432,42 @@ def test_coproduct_command(capsys):
     assert out == "1 [cd:] (x) [cd: A0 A0] + 1 [cd: A0 A0] (x) [cd:]\n"
 
 
+ELEMENT = "1 [cd: A0 A0] + -2 [cd: A1 B0 A1 B0]"
+
+# (argv, exit code, stdout, stderr) of the branches the tests above leave out
+COMMAND_BRANCHES = [
+    (("canon", ELEMENT), 0, "1 [cd: A0 A0] + -2 [cd: A0 B1 A0 B1]\n", ""),
+    (("beta", "dlcd: A B | A B"), 0, "2\n", ""),
+    (("beta", ELEMENT), 2, "", "error: column 1: beta takes a single diagram, not an element\n"),
+    (
+        ("beta", "lcd: A0 A0"),
+        2,
+        "",
+        "error: column 1: beta is defined for dcd, dlcd, and cd diagrams\n",
+    ),
+    (("psi", "lcd: A0 A0"), 2, "", "error: column 1: psi takes framed (cd) input\n"),
+    (("consum", ELEMENT, "cd: A0 A0"), 2, "", "error: column 1: consum takes two diagrams\n"),
+    (("consum", "cd: A0 A0", ELEMENT), 2, "", "error: column 1: consum takes two diagrams\n"),
+    (
+        ("consum", "cd: A0 A0", "lcd: A0 A0"),
+        2,
+        "",
+        "error: column 1: consum operands must have the same kind\n",
+    ),
+    (("consum", "lcd: A1 B0 A1 B0", "lcd: A0 A0"), 0, "lcd: A1 B0 A1 B0 C0 C0\n", ""),
+    (("consum", "dlcd: A | A B B", "dlcd: A A | C C"), 0, "dlcd: A B B | A C C D D\n", ""),
+    (("closure", "cd: A0 A0"), 2, "", "error: column 1: closure takes an lcd diagram\n"),
+    (("closure", "1 [lcd: A0 A0]"), 2, "", "error: column 1: closure takes an lcd diagram\n"),
+    (("coproduct", "lcd: A0 A0"), 2, "", "error: column 1: coproduct takes a cd diagram\n"),
+    (("coproduct", "1 [cd: A0 A0]"), 2, "", "error: column 1: coproduct takes a cd diagram\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err", COMMAND_BRANCHES)
+def test_command_branches(argv, code, out, err, capsys):
+    assert run_main(capsys, *argv) == (code, out, err)
+
+
 def test_quotient_eq_exit_codes(capsys):
     for field in ((), ("--rational",)):
         code, out, _ = run_main(capsys, "quotient-eq", "1 [dcd: A A |]", "1 [dcd: A | A]", *field)

@@ -536,6 +536,27 @@ def test_from_key_builds_the_class_of_its_kind(payload, cls, text):
     assert repr(rebuilt) == text
 
 
+@pytest.mark.parametrize(
+    "key, message",
+    [
+        (CanonicalKey("framed", ((1, 0), (1, 1))), "a framed key gives a chord two framings"),
+        (
+            CanonicalKey("linear", ((1, 1), (2, 0), (1, 0), (2, 0))),
+            "a linear key gives a chord two framings",
+        ),
+        (CanonicalKey("dlinear", ((1,), (1,), (2, 2))), "a dlinear key needs two words"),
+        (CanonicalKey("double", ((1, 1),)), "a double key needs two words"),
+    ],
+    ids=("framed", "linear", "dlinear", "double"),
+)
+def test_a_malformed_key_is_neither_rebuilt_nor_spelled(key, message):
+    # each of these once came back as a diagram, or a text, of part of the key
+    for build in (from_key, format_diagram):
+        with pytest.raises(InvalidDiagramError) as raised:
+            build(key)
+        assert str(raised.value) == message
+
+
 # --- closure and reversal ------------------------------------------------------
 
 
