@@ -37,7 +37,7 @@ from .diagrams import (
     InvalidArgumentError,
     _key_words,
     _least_circle_pair,
-    _least_rotation,
+    _least_framed_rotation,
     _numbered,
     _numbered_codes,
     enumerate_diagrams,
@@ -247,8 +247,7 @@ def _moves(kind, n):
                 tok = word[xp]
                 stripped = words[:xwi] + (word[:xp] + word[xp + 1 :],) + words[xwi + 1 :]
                 if kind == "framed":
-                    punctured, ties = _least_rotation(((stripped[0], {}),), marked=True)
-                    numbering = ties[0][1]
+                    punctured, numbering = _least_framed_rotation(stripped[0])
                     # where the other endpoint of a is left in the stripped word
                     rest = a_ends[1][1] - 1 if occ == 0 else a_ends[0][1]
                 elif kind == "double":

@@ -20,7 +20,6 @@ Labels are arbitrary hashable values; canonicalization erases them.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 KINDS = ("framed", "double", "linear", "dlinear")
@@ -35,7 +34,6 @@ class InvalidArgumentError(ValueError):
     index out of range, or a diagram kind it is not defined on."""
 
 
-@dataclass(frozen=True, order=True)
 class CanonicalKey:
     """Canonical form of a diagram; equal keys mean isomorphic diagrams.
 
@@ -44,10 +42,64 @@ class CanonicalKey:
     chord-number tuples for the two-word kinds.  Chords are numbered 1, 2, ...
     by first occurrence in the minimising scan.  Keys are totally ordered, so
     sorted containers of keys are deterministic.
+
+    A key is immutable and compares, orders and prints as the pair ``(kind,
+    payload)`` would as a frozen dataclass of those two fields; it equals
+    no tuple.  Its hash is computed on first use and kept, since keys are
+    looked up in dicts and caches many times and tuples do not keep theirs.
     """
 
-    kind: str
-    payload: tuple
+    __slots__ = ("kind", "payload", "_hash")
+
+    def __init__(self, kind: str, payload: tuple):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "payload", payload)
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.kind, self.payload))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.kind, self.payload) == (other.kind, other.payload)
+        return NotImplemented
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.kind, self.payload) < (other.kind, other.payload)
+        return NotImplemented
+
+    def __le__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.kind, self.payload) <= (other.kind, other.payload)
+        return NotImplemented
+
+    def __gt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.kind, self.payload) > (other.kind, other.payload)
+        return NotImplemented
+
+    def __ge__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.kind, self.payload) >= (other.kind, other.payload)
+        return NotImplemented
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        return f"CanonicalKey(kind={self.kind!r}, payload={self.payload!r})"
+
+    def __reduce__(self):
+        # rebuilt from its fields: a stored hash of a str is per process
+        return CanonicalKey, (self.kind, self.payload)
 
     @property
     def n(self) -> int:
@@ -227,43 +279,26 @@ def _numbered_codes(word, numbering):
     return tuple([2 * v + (c & 1) for c, v in zip(word, _numbered(word, numbering))])
 
 
-def _least_rotation(circles, marked=False):
-    """The least relabelled rotation over ``circles``, and the numbering of
-    every rotation that attains it.
+def _least_rotation(circles, starts, marked=False):
+    """The least relabelled rotation among ``starts``, and the numbering of
+    every one that attains it.
 
     Each circle is a ``(word, numbering)`` pair: a word of labels and a
     numbering of labels that each rotation of the word continues on a copy.
-    A rotation relabels to the tuple of its labels' numbers.  With
-    ``marked`` (a framed word), every label is an int code ``2 * chord +
-    framing`` (see ``_codes``) and relabels to ``2 * number + framing``,
-    which orders as the ``(number, framing)`` token does.  Returns the least
-    relabelled rotation and, for every rotation attaining it, ``(circle
-    index, its completed numbering)``.
+    ``starts`` lists the rotations to scan as ``(circle index, start)``
+    pairs, in scan order; a rotation relabels to the tuple of its labels'
+    numbers.  With ``marked`` (a framed word), every label is an int code
+    ``2 * chord + framing`` (see ``_codes``) and relabels to ``2 * number +
+    framing``, which orders as the ``(number, framing)`` token does.
+    Returns the least relabelled rotation and, for every start attaining
+    it in scan order, ``(circle index, its completed numbering)``.
 
-    Only the rotations whose first two relabelled labels (the head) are
-    least are scanned, and the one rotation of each word shorter than two
-    labels.  Each is relabelled lazily against the best so far and dropped
+    Each rotation is relabelled lazily against the best so far and dropped
     at its first larger label; a full relabelling is built only for a new
     best.  Labels are compared as plain numbers, never as tuples.
     """
-    least0 = least1 = None
-    starts, short = [], []
-    for ci, (word, base) in enumerate(circles):
-        if len(word) < 2:  # its one rotation is scanned whatever its head
-            short.append((ci, 0))
-            continue
-        get, fresh = base.get, len(base) + 1
-        for r, (a, c) in enumerate(zip(word, word[1:] + word[:1])):
-            v0 = get(a, fresh)
-            v1 = v0 if c == a else get(c, fresh + (v0 == fresh))
-            if marked:
-                v0, v1 = 2 * v0 + (a & 1), 2 * v1 + (c & 1)
-            if least0 is None or v0 < least0 or (v0 == least0 and v1 < least1):
-                least0, least1, starts = v0, v1, [(ci, r)]
-            elif v0 == least0 and v1 == least1:
-                starts.append((ci, r))
     best = None
-    for ci, r in short + starts:
+    for ci, r in starts:
         word, base = circles[ci]
         rot = word[r:] + word[:r]
         numbering = {**base}
@@ -289,31 +324,115 @@ def _least_rotation(circles, marked=False):
     return best, ties
 
 
+def _least_framed_rotation(word):
+    """The least relabelled rotation of a framed code word (see ``_codes``),
+    and a numbering of its codes that attains it.
+
+    Only the rotations whose first two relabelled codes (the head) are least
+    are scanned, and the one rotation of a word shorter than two codes.  A
+    rotation starting at a chord framed ``f`` relabels to ``2 + f`` first,
+    then to the same code again if the next code closes that chord, else to
+    ``4 + f'`` for the next chord's framing ``f'``.  The gap argument of
+    ``_least_circle_pair`` does not hold here: the framing bit of a new
+    label can decide the order before the first label repeats.
+    """
+    starts = [(0, 0)]
+    if len(word) >= 2:
+        least0 = least1 = None
+        for r, (a, c) in enumerate(zip(word, word[1:] + word[:1])):
+            v0 = 2 + (a & 1)
+            v1 = v0 if c == a else 4 + (c & 1)
+            if least0 is None or v0 < least0 or (v0 == least0 and v1 < least1):
+                least0, least1, starts = v0, v1, [(0, r)]
+            elif v0 == least0 and v1 == least1:
+                starts.append((0, r))
+    best, ties = _least_rotation(((word, {}),), starts, marked=True)
+    return best, ties[0][1]
+
+
 @lru_cache(maxsize=None)
 def _canon_framed(word) -> CanonicalKey:
-    best, _ = _least_rotation(((word, {}),), marked=True)
+    best, _ = _least_framed_rotation(word)
     return CanonicalKey("framed", tuple(map(_TOKENS.__getitem__, best)))
+
+
+def _least_gap_starts(word):
+    """The least first closing position over the rotations of a circle
+    word, the starts of the rotations that attain it (in order), and the
+    first position of every label in the word.
+
+    A rotation's first closing position is where a label first repeats, or
+    the word's length when none does.  It is at least the least forward gap
+    from an endpoint to its partner on the circle, and equal to it exactly
+    at the endpoints whose own gap is least.  A circle with no chord of its
+    own never closes, so every rotation attains its length.
+    """
+    size = len(word)
+    least, starts, first = size, None, {}
+    for p, lab in enumerate(word):
+        q = first.get(lab)
+        if q is None:
+            first[lab] = p
+            continue
+        # the chord q..p: forward gap d from q, size - d from p
+        d = p - q
+        g = d if 2 * d <= size else size - d
+        if g < least:
+            least, starts = g, []
+        if g == least:
+            if d == g:
+                starts.append(q)
+            if size - d == g:
+                starts.append(p)
+    if starts is None:
+        return size, range(size or 1), first
+    starts.sort()
+    return least, starts, first
 
 
 def _least_circle_pair(w1, w2):
     """The least relabelled pair of two circle words, and a numbering of
     their labels that attains it.
 
-    The words need not form a diagram: a label may occur once, as in a
-    diagram with one endpoint removed.
+    The pair is the least ``(t1, t2)``: rotations of the two words, in
+    either circle order, numbered together by first occurrence.  The
+    numbering is that of the first rotation pair attaining it in the order
+    (first circle, its start, start on the other circle), the order in
+    which the full rotation scan meets them; ``algebra._moves`` numbers the
+    target chord of a slide by it.  The words need not form a diagram: a
+    label may occur once, as in a diagram with one endpoint removed.
     """
-    # The pair is the least (t1, t2), the rotations ra, rb numbered together
-    # by first occurrence, over both circle orders and all rotations.  Pairs
-    # compare by t1 first, and t1 depends on ra alone, so the least t1 is
-    # taken over the rotations of both words; t2 is then the least rotation
-    # of the other word over the rotations ra that tie for t1, each
-    # continuing its own numbering.  Both stages are one pruned scan of
-    # _least_rotation on the plain label words: about 2L head checks and a
-    # few lazy relabellings each, with many ties to carry into the second
-    # stage only for a word with many equal rotations.
+    # Pairs compare by t1 first, and t1 depends on the first rotation alone,
+    # so stage 1 takes the least t1 over the rotations of both words, and
+    # stage 2 the least t2 over the other word's rotations, each continuing
+    # the numbering of one stage-1 tie.
+    #
+    # Stage 1 numbers afresh: a rotation relabels to 1, 2, ..., j and then
+    # repeats (or ends) at its first closing position j, so a smaller j is a
+    # smaller t1, and only the starts of least j on either circle can be
+    # least.  Stage 2 continues a numbering whose labels on the other circle
+    # are chords to the first, each numbered below every new label, so each
+    # tie has one least start: the endpoint whose chord has the least
+    # number.  The numbering is in order of its numbers, so that is the
+    # first of its labels found on the other circle.  A circle without such
+    # a chord numbers afresh and keeps its own least-gap starts.
     words = (w1, w2)
-    best1, ties = _least_rotation(((w1, {}), (w2, {})))
-    best2, ties = _least_rotation(tuple([(words[1 - ci], numbering) for ci, numbering in ties]))
+    gaps = (_least_gap_starts(w1), _least_gap_starts(w2))
+    least = min(gaps[0][0], gaps[1][0])
+    starts = [(ci, r) for ci, (g, rs, _) in enumerate(gaps) if g == least for r in rs]
+    best1, ties = _least_rotation(((w1, {}), (w2, {})), starts)
+    circles, starts = [], []
+    for ti, (ci, numbering) in enumerate(ties):
+        _, own, first = gaps[1 - ci]
+        circles.append((words[1 - ci], numbering))
+        for lab in numbering:
+            r = first.get(lab)
+            if r is not None:
+                starts.append((ti, r))
+                break
+        else:
+            starts += [(ti, r) for r in own]
+    best2, ties = _least_rotation(circles, starts)
     return (best1, best2), ties[0][1]
 
 

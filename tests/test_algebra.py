@@ -1,5 +1,6 @@
 """Module elements, relation generators, and the quotient decision."""
 
+import hashlib
 import random
 from fractions import Fraction
 from math import gcd
@@ -254,6 +255,36 @@ def test_generators_match_the_public_constructor_oracle(kind, n):
     assert generate_4T(kind, n) == tuple(expected)
     if kind in ("double", "dlinear"):
         assert generate_2T_pairs(kind, n) == tuple(sorted(pairs))
+
+
+# sha256 of one ``repr`` line per generator of ``generate_4T("double", 5)``
+# (base, moving chord, occurrence, target chord, placements, signs, 2T pairs
+# and the element's terms), recorded while the punctured two-circle keys
+# came from the head scan of tests/head_scan_pair.py; the oracle above stops
+# at n = 4
+DOUBLE_5_GENERATORS_SHA256 = "795f7c79f5130f59ed9e5db36db1284d7e1d7c639cbb3b9f6225e016cdce1090"
+
+
+def test_double_degree_five_generators_are_pinned():
+    gens = generate_4T("double", 5)
+    text = "".join(
+        repr(
+            (
+                g.base,
+                g.moving_chord,
+                g.occurrence,
+                g.target_chord,
+                g.placements,
+                g.signs,
+                g.slide_pairs,
+                tuple(g.element.items()),
+            )
+        )
+        + "\n"
+        for g in gens
+    )
+    assert len(gens) == 1607
+    assert hashlib.sha256(text.encode()).hexdigest() == DOUBLE_5_GENERATORS_SHA256
 
 
 def list_copy_moves(kind, base):

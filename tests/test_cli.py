@@ -350,6 +350,14 @@ def test_round_trip_corpus():
         assert once == twice, text
 
 
+def test_format_refuses_an_unknown_kind():
+    # as from_key does, not with a bare KeyError
+    for build in (format_diagram, from_key):
+        with pytest.raises(InvalidArgumentError) as raised:
+            build(CanonicalKey("foo", ()))
+        assert str(raised.value) == "unknown kind 'foo'"
+
+
 def test_format_empty_sides():
     assert format_diagram(DoubleChordDiagram((), ()).key()) == "dcd: |"
     assert format_diagram(FramedChordDiagram((), {}).key()) == "cd:"

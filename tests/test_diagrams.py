@@ -5,7 +5,9 @@ swap / relabel sets) so the canonical keys are validated against something
 independent of the implementation.
 """
 
+import functools
 import itertools
+import pickle
 import random
 
 import pytest
@@ -23,6 +25,7 @@ from chordcalc.diagrams import (
     _canon_double,
     _canon_framed,
     _codes,
+    _least_circle_pair,
     _matchings,
     _SPELLED,
     closure,
@@ -33,6 +36,8 @@ from chordcalc.diagrams import (
     reverse_word,
     spell_label,
 )
+from chordcalc.parity import _split_summands
+from head_scan_pair import head_scan_pair
 
 
 def fcd(word, framing):
@@ -338,6 +343,51 @@ def test_double_pruned_scan_matches_the_brute_force_scan():
         assert key == CanonicalKey("double", brute_double_payload(w1, w2)), (w1, w2)
 
 
+def double_words(n):
+    """Every word of ``n`` chords labelled 0 .. n-1 (each label twice, in
+    every arrangement) split into two circle words at every position."""
+    for word in sorted(set(itertools.permutations([i // 2 for i in range(2 * n)]))):
+        for s in range(2 * n + 1):
+            yield word[:s], word[s:]
+
+
+def punctured(w1, w2):
+    """``(w1, w2)`` with one endpoint removed, every way."""
+    for i in range(len(w1)):
+        yield w1[:i] + w1[i + 1 :], w2
+    for i in range(len(w2)):
+        yield w1, w2[:i] + w2[i + 1 :]
+
+
+def psi_summands(count, seed):
+    """The two-circle words of the parity summands of ``count`` random framed
+    words of 5-7 chords."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(5, 7)
+        word = [c for c in range(n) for _ in (0, 1)]
+        rng.shuffle(word)
+        framing = {c: rng.randint(0, 1) for c in range(n)}
+        for _mask, w1, w2 in _split_summands(tuple(word), framing):
+            yield w1, w2
+
+
+@pytest.mark.parametrize(
+    "cases",
+    [
+        lambda: (v for n in range(4) for w in double_words(n) for v in (w, *punctured(*w))),
+        lambda: double_words(4),
+        lambda: psi_summands(200, 1980),
+    ],
+    ids=("up-to-3-chords-and-punctured", "4-chords", "psi-summands-5-to-7-chords"),
+)
+def test_least_gap_starts_match_the_head_scan(cases):
+    # algebra._moves numbers a slide's target chord by the returned
+    # numbering, so it must be the head scan's too, not only the key
+    for w1, w2 in cases():
+        assert _least_circle_pair(w1, w2) == head_scan_pair(w1, w2), (w1, w2)
+
+
 # --- linear canonicalization -------------------------------------------------
 
 
@@ -555,6 +605,73 @@ def test_a_malformed_key_is_neither_rebuilt_nor_spelled(key, message):
         with pytest.raises(InvalidDiagramError) as raised:
             build(key)
         assert str(raised.value) == message
+
+
+# --- the key type -------------------------------------------------------------
+
+
+def test_keys_built_apart_are_equal_and_hash_equal():
+    built = CanonicalKey("double", ((1, 2), (1, 2)))
+    again = CanonicalKey("double", (tuple([1, 2]), tuple([1, 2])))
+    canonical = DoubleChordDiagram(("A", "B"), ("B", "A")).key()
+    for key in (again, canonical):
+        assert key is not built
+        assert key == built and not key != built
+        assert hash(key) == hash(built)
+        assert {built: 1}[key] == 1
+
+
+def test_a_key_equals_no_tuple():
+    key = CanonicalKey("double", ((1, 1), ()))
+    pair = ("double", ((1, 1), ()))
+    assert key != pair and pair != key
+    assert {pair: 1}.get(key) is None
+    with pytest.raises(TypeError):
+        key < pair
+
+
+def test_keys_of_mixed_kinds_sort_as_their_kind_and_payload():
+    keys = [key for kind in KINDS for n in range(4) for key in enumerate_diagrams(kind, n)]
+    random.Random(1980).shuffle(keys)
+    assert sorted(keys) == sorted(keys, key=lambda k: (k.kind, k.payload))
+    a, b = enumerate_diagrams("framed", 2)[:2]
+    assert (a < b, a <= b, a > b, a >= b, a <= a, a >= a) == (True, True, False, False, True, True)
+
+
+def test_key_repr():
+    assert repr(CanonicalKey("double", ((1, 1), ()))) == (
+        "CanonicalKey(kind='double', payload=((1, 1), ()))"
+    )
+    assert repr(CanonicalKey("framed", ((1, 0), (1, 0)))) == (
+        "CanonicalKey(kind='framed', payload=((1, 0), (1, 0)))"
+    )
+
+
+def test_a_key_cannot_be_changed():
+    key = CanonicalKey("double", ((1, 1), ()))
+    before = hash(key)
+    for name in ("kind", "payload", "other"):
+        with pytest.raises(AttributeError):
+            setattr(key, name, None)
+        with pytest.raises(AttributeError):
+            delattr(key, name)
+    assert (key.kind, key.payload, hash(key)) == ("double", ((1, 1), ()), before)
+
+
+def test_a_key_pickles_and_caches():
+    key = CanonicalKey("double", ((1, 2), (1, 2)))
+    hash(key)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(key, protocol))
+        assert type(back) is CanonicalKey
+        assert back == key and hash(back) == hash(key) and repr(back) == repr(key)
+
+    @functools.lru_cache(maxsize=None)
+    def chords(k):
+        return k.n
+
+    assert chords(key) == chords(CanonicalKey("double", ((1, 2), (1, 2)))) == 2
+    assert chords.cache_info().hits == 1
 
 
 # --- closure and reversal ------------------------------------------------------
