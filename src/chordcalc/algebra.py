@@ -293,31 +293,6 @@ def _moves(kind, n):
                     yield base, a, occ, b, placements, signs, pairs
 
 
-@lru_cache(maxsize=None)
-def _all_generators(kind, n):
-    generators = []
-    seen = set()
-    for base, a, occ, b, placements, signs, pairs in _moves(kind, n):
-        # every key here has the same kind, so payloads order them as keys do
-        signature = tuple(sorted([(p.payload, s) for p, s in zip(placements, signs)]))
-        if signature in seen:
-            continue
-        seen.add(signature)
-        generators.append(
-            RelationGenerator(
-                element=ModuleElement(kind, zip(placements, signs)),
-                base=base,
-                moving_chord=a,
-                occurrence=occ,
-                target_chord=b,
-                placements=placements,
-                signs=signs,
-                slide_pairs=pairs,
-            )
-        )
-    return tuple(generators)
-
-
 def generate_4T(kind, n, include_zero=True):
     """All 4T relation generators in degree ``n``, deduplicated up to
     canonical-form duplication of the whole generator.
@@ -335,13 +310,35 @@ def generate_4T(kind, n, include_zero=True):
     ``include_zero`` is false.  ``n`` of 0 or 1 yields nothing (a relation
     needs two chords); ``n < 0`` or an unknown kind raises
     ``InvalidArgumentError``.
+
+    Each call builds the generators afresh and keeps none of them:
+    ``_integer_lattice``, which is cached, reads their rows once.
     """
     if kind not in KINDS:
         raise InvalidArgumentError(f"unknown kind {kind!r}")
-    generators = _all_generators(kind, n)
-    if include_zero:
-        return generators
-    return tuple(g for g in generators if not g.element.is_zero())
+    generators = []
+    seen = set()
+    for base, a, occ, b, placements, signs, pairs in _moves(kind, n):
+        # every key here has the same kind, so payloads order them as keys do
+        signature = tuple(sorted([(p.payload, s) for p, s in zip(placements, signs)]))
+        if signature in seen:
+            continue
+        seen.add(signature)
+        element = ModuleElement(kind, zip(placements, signs))
+        if include_zero or not element.is_zero():
+            generators.append(
+                RelationGenerator(
+                    element=element,
+                    base=base,
+                    moving_chord=a,
+                    occurrence=occ,
+                    target_chord=b,
+                    placements=placements,
+                    signs=signs,
+                    slide_pairs=pairs,
+                )
+            )
+    return tuple(generators)
 
 
 def generate_2T_pairs(kind, n):

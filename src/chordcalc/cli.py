@@ -204,10 +204,7 @@ def _parse_element(text):
 def format_diagram(obj) -> str:
     """Canonical text of a diagram or key; stable under parse/format."""
     key = obj if isinstance(obj, CanonicalKey) else obj.key()
-    try:
-        prefix = _KIND_TO_PREFIX[key.kind] + ":"
-    except KeyError:
-        raise InvalidArgumentError(f"unknown kind {key.kind!r}") from None
+    prefix = _KIND_TO_PREFIX[key.kind] + ":"
     words = _spelled_words(key)
     if key.kind in ("framed", "linear"):
         return " ".join([prefix] + [f"{label}{fr}" for label, fr in words[0]])

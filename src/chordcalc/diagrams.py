@@ -20,7 +20,7 @@ Labels are arbitrary hashable values; canonicalization erases them.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 
 KINDS = ("framed", "double", "linear", "dlinear")
 
@@ -34,6 +34,7 @@ class InvalidArgumentError(ValueError):
     index out of range, or a diagram kind it is not defined on."""
 
 
+@total_ordering
 class CanonicalKey:
     """Canonical form of a diagram; equal keys mean isomorphic diagrams.
 
@@ -42,6 +43,15 @@ class CanonicalKey:
     chord-number tuples for the two-word kinds.  Chords are numbered 1, 2, ...
     by first occurrence in the minimising scan.  Keys are totally ordered, so
     sorted containers of keys are deterministic.
+
+    A key built by hand is checked once, when it is built, and every function
+    that takes a key trusts it.  An unknown kind raises
+    ``InvalidArgumentError``; a payload not of its kind's shape, with a chord
+    that does not occur twice or a framing other than the int 0 or 1 raises
+    ``InvalidDiagramError``, checked in that order; then a chord that is not
+    a positive ``int`` raises ``ValueError``.  A key need not be canonical.
+    The library's own keys are valid by construction and skip the check
+    (``_key``).
 
     A key is immutable and compares, orders and prints as the pair ``(kind,
     payload)`` would as a frozen dataclass of those two fields; it equals
@@ -52,6 +62,30 @@ class CanonicalKey:
     __slots__ = ("kind", "payload", "_hash")
 
     def __init__(self, kind: str, payload: tuple):
+        if kind in ("framed", "linear"):
+            if type(payload) is not tuple or not all(
+                type(t) is tuple and len(t) == 2 for t in payload
+            ):
+                raise InvalidDiagramError(f"a {kind} key is a tuple of (chord, framing) pairs")
+            if len(set(payload)) != len(dict(payload)):
+                raise InvalidDiagramError(f"a {kind} key gives a chord two framings")
+            words = ([num for num, _ in payload],)
+        elif kind in ("double", "dlinear"):
+            if type(payload) is not tuple or [type(w) for w in payload] != [tuple, tuple]:
+                raise InvalidDiagramError(f"a {kind} key needs two words")
+            words = payload
+        else:
+            raise InvalidArgumentError(f"unknown kind {kind!r}")
+        _occurrence_counts(words)
+        if len(words) == 1:
+            for num, fr in payload:
+                if type(fr) is not int or fr not in (0, 1):
+                    message = f"framing of chord {num!r} must be 0 or 1, got {fr!r}"
+                    raise InvalidDiagramError(message)
+        for word in words:
+            for num in word:
+                if type(num) is not int or num < 1:
+                    raise ValueError(f"labels are numbered from 1, got {num!r}")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "payload", payload)
 
@@ -73,21 +107,6 @@ class CanonicalKey:
             return (self.kind, self.payload) < (other.kind, other.payload)
         return NotImplemented
 
-    def __le__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.kind, self.payload) <= (other.kind, other.payload)
-        return NotImplemented
-
-    def __gt__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.kind, self.payload) > (other.kind, other.payload)
-        return NotImplemented
-
-    def __ge__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.kind, self.payload) >= (other.kind, other.payload)
-        return NotImplemented
-
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
@@ -98,7 +117,8 @@ class CanonicalKey:
         return f"CanonicalKey(kind={self.kind!r}, payload={self.payload!r})"
 
     def __reduce__(self):
-        # rebuilt from its fields: a stored hash of a str is per process
+        # rebuilt from its fields, and checked: a stored hash of a str is per
+        # process, and pickled data comes from outside
         return CanonicalKey, (self.kind, self.payload)
 
     @property
@@ -121,6 +141,15 @@ def _occurrence_counts(words):
             + ", ".join(bad)
         )
     return counts
+
+
+def _key(kind, payload) -> CanonicalKey:
+    """A key of the library's own making, whose payload is valid by
+    construction: built without ``CanonicalKey``'s check."""
+    key = object.__new__(CanonicalKey)
+    object.__setattr__(key, "kind", kind)
+    object.__setattr__(key, "payload", payload)
+    return key
 
 
 def _checked_framing(framing, labels):
@@ -353,7 +382,7 @@ def _least_framed_rotation(word):
 @lru_cache(maxsize=None)
 def _canon_framed(word) -> CanonicalKey:
     best, _ = _least_framed_rotation(word)
-    return CanonicalKey("framed", tuple(map(_TOKENS.__getitem__, best)))
+    return _key("framed", tuple(map(_TOKENS.__getitem__, best)))
 
 
 def _least_gap_starts(word):
@@ -438,18 +467,18 @@ def _least_circle_pair(w1, w2):
 
 @lru_cache(maxsize=None)
 def _canon_double(w1, w2) -> CanonicalKey:
-    return CanonicalKey("double", _least_circle_pair(w1, w2)[0])
+    return _key("double", _least_circle_pair(w1, w2)[0])
 
 
 @lru_cache(maxsize=None)
 def _canon_linear(word) -> CanonicalKey:
-    return CanonicalKey("linear", tuple(map(_TOKENS.__getitem__, _numbered_codes(word, {}))))
+    return _key("linear", tuple(map(_TOKENS.__getitem__, _numbered_codes(word, {}))))
 
 
 @lru_cache(maxsize=None)
 def _canon_dlinear(w1, w2) -> CanonicalKey:
     numbering = {}
-    return CanonicalKey("dlinear", (_numbered(w1, numbering), _numbered(w2, numbering)))
+    return _key("dlinear", (_numbered(w1, numbering), _numbered(w2, numbering)))
 
 
 #: The canonicalizer of each kind: it takes a word of ``_codes`` (one-word
@@ -487,23 +516,16 @@ _SPELLED = _Spellings()
 
 def _spelled_words(key):
     """The words of a key with its chord numbers spelled: ``(label,
-    framing)`` tokens for a one-word key, labels for a two-word key.  A
-    one-word key that frames a chord twice, or a two-word key without
-    exactly two words, raises ``InvalidDiagramError``."""
+    framing)`` tokens for a one-word key, labels for a two-word key.  The
+    key was checked when it was built, so every chord spells."""
     if key.kind in ("framed", "linear"):
-        if len(set(key.payload)) != len(dict(key.payload)):
-            raise InvalidDiagramError(f"a {key.kind} key gives a chord two framings")
         return (tuple([(_SPELLED[num], fr) for num, fr in key.payload]),)
-    if len(key.payload) != 2:
-        raise InvalidDiagramError(f"a {key.kind} key needs two words")
     return tuple([tuple([_SPELLED[num] for num in word]) for word in key.payload])
 
 
 def from_key(key: CanonicalKey):
     """Rebuild a diagram (with spelled labels A, B, C, ...) from its key."""
-    cls = _CLASSES.get(key.kind)
-    if cls is None:
-        raise InvalidArgumentError(f"unknown kind {key.kind!r}")
+    cls = _CLASSES[key.kind]
     words = _spelled_words(key)
     if issubclass(cls, _OneWordDiagram):
         return cls([label for label, _ in words[0]], dict(words[0]))
@@ -606,7 +628,7 @@ def enumerate_diagrams(kind: str, n: int):
         payloads = [tuple(map(_TOKENS.__getitem__, code)) for code in sorted(codes)]
     else:
         payloads = sorted(payloads)  # keys of one kind order as their payloads
-    return tuple([CanonicalKey(kind, payload) for payload in payloads])
+    return tuple([_key(kind, payload) for payload in payloads])
 
 
 # ---------------------------------------------------------------------------

@@ -21,14 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .algebra import KindMismatchError, ModuleElement
-from .diagrams import (
-    FramedChordDiagram,
-    InvalidDiagramError,
-    _expect,
-    _numbered,
-    _occurrence_counts,
-    _TwoWordDiagram,
-)
+from .diagrams import FramedChordDiagram, _expect, _TwoWordDiagram
 
 
 class _UnionFind:
@@ -152,13 +145,12 @@ def _walk_count(words, cyclic):
     endpoint, which has no next one; the chains are walked before the
     cycles.  Chordless circles and lines count one each.
 
-    The pass that pairs the endpoints also checks the words.  A label met a
-    third time, or left with one endpoint, raises ``InvalidDiagramError``
-    (through ``_occurrence_counts``, which names every offending label).
-    A label that is not a positive ``int`` then raises ``ValueError``.
+    The words are trusted to be a diagram, every label occurring exactly
+    twice across them: the words of a checked diagram, or of a key, whose
+    payload was checked when the key was built.
     """
-    partner, spans, bad = [], [], []
-    first = {}  # label -> its first endpoint, or -1 once both are seen
+    partner, spans = [], []
+    first = {}  # label -> its first endpoint
     for word in words:
         offset = len(partner)
         if word:
@@ -167,18 +159,9 @@ def _walk_count(words, cyclic):
             q = first.setdefault(lab, e)
             if q == e:
                 partner.append(None)
-                if type(lab) is not int or lab < 1:
-                    bad.append(lab)
-            elif q < 0:  # a third endpoint: this raises
-                _occurrence_counts(words)
             else:
                 partner[q] = e
                 partner.append(q)
-                first[lab] = -1
-    if 2 * len(first) != len(partner):  # a label with one endpoint: this raises
-        _occurrence_counts(words)
-    if bad:
-        raise ValueError(f"labels are numbered from 1, got {bad[0]!r}")
     # step[p] = partner(next(p)); -1 marks a line's last endpoint, and the
     # walk marks every endpoint it passes with -1 too
     step = []
@@ -208,8 +191,7 @@ def beta(d) -> int:
     """
     if not isinstance(d, _TwoWordDiagram):
         raise TypeError(f"expected a double or dlinear diagram, got {type(d).__name__}")
-    numbering = {}
-    return _walk_count([_numbered(w, numbering) for w in (d.word1, d.word2)], d.kind == "double")
+    return _walk_count((d.word1, d.word2), d.kind == "double")
 
 
 def beta_framed(d: FramedChordDiagram) -> int:
@@ -230,15 +212,9 @@ def beta_framed(d: FramedChordDiagram) -> int:
 
 @lru_cache(maxsize=None)
 def _beta_of_key(key):
-    """``beta`` of the diagram a double or dlinear key stands for.
-
-    The payload is checked once per distinct key, as ``from_key`` would
-    check it: two words of positive chord numbers, each occurring exactly
-    twice.  The walk makes the checks in its own pairing pass, count errors
-    (``InvalidDiagramError``) before label errors (``ValueError``).
-    """
-    if len(key.payload) != 2:
-        raise InvalidDiagramError(f"a {key.kind} key needs two words")
+    """``beta`` of the diagram a double or dlinear key stands for, walked on
+    the key's two words of chord numbers, which were checked when the key
+    was built."""
     return _walk_count(key.payload, key.kind == "double")
 
 

@@ -28,6 +28,7 @@ from chordcalc.diagrams import (
     DoubleChordDiagram,
     FramedChordDiagram,
     InvalidArgumentError,
+    InvalidDiagramError,
     enumerate_diagrams,
     from_key,
 )
@@ -646,14 +647,31 @@ def test_quotient_kind_mismatch():
         )
 
 
-@pytest.mark.parametrize("payload", [((1, 1), ()), ((1, 1, 1), ())])
-def test_quotient_names_a_key_missing_from_its_degree(payload):
+@pytest.mark.parametrize(
+    "payload, error, message",
+    [
+        pytest.param(
+            ((1, 1), ()),
+            InvalidArgumentError,
+            "not a canonical double key of degree 1: "
+            "CanonicalKey(kind='double', payload=((1, 1), ()))",
+            id="payload0",
+        ),
+        pytest.param(
+            ((1, 1, 1), ()),
+            InvalidDiagramError,
+            "every chord label must occur exactly twice; offending labels: 1",
+            id="payload1",
+        ),
+    ],
+)
+def test_quotient_names_a_key_missing_from_its_degree(payload, error, message):
     # the first is a double diagram, but not its canonical key; the second
-    # is no diagram at all
-    key = CanonicalKey("double", payload)
-    with pytest.raises(InvalidArgumentError) as raised:
-        quotient_equal(single(key), ModuleElement.zero("double"))
-    assert str(raised.value) == f"not a canonical double key of degree 1: {key!r}"
+    # is no diagram at all, so no key of it is built
+    with pytest.raises(ValueError) as raised:
+        quotient_equal(single(CanonicalKey("double", payload)), ModuleElement.zero("double"))
+    assert type(raised.value) is error
+    assert str(raised.value) == message
 
 
 def test_quotient_degree_ceiling():

@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+from chordcalc.algebra import ModuleElement
 from chordcalc.cli import format_diagram
 from chordcalc.diagrams import (
     CanonicalKey,
@@ -19,6 +20,7 @@ from chordcalc.diagrams import (
     DoubleLinearDiagram,
     FramedChordDiagram,
     FramedLinearDiagram,
+    InvalidArgumentError,
     InvalidDiagramError,
     KINDS,
     _CANONICALIZERS,
@@ -37,6 +39,7 @@ from chordcalc.diagrams import (
     spell_label,
 )
 from chordcalc.parity import _split_summands
+from chordcalc.surgery import weight
 from head_scan_pair import head_scan_pair
 
 
@@ -587,23 +590,21 @@ def test_from_key_builds_the_class_of_its_kind(payload, cls, text):
 
 
 @pytest.mark.parametrize(
-    "key, message",
+    "kind, payload, message",
     [
-        (CanonicalKey("framed", ((1, 0), (1, 1))), "a framed key gives a chord two framings"),
-        (
-            CanonicalKey("linear", ((1, 1), (2, 0), (1, 0), (2, 0))),
-            "a linear key gives a chord two framings",
-        ),
-        (CanonicalKey("dlinear", ((1,), (1,), (2, 2))), "a dlinear key needs two words"),
-        (CanonicalKey("double", ((1, 1),)), "a double key needs two words"),
+        ("framed", ((1, 0), (1, 1)), "a framed key gives a chord two framings"),
+        ("linear", ((1, 1), (2, 0), (1, 0), (2, 0)), "a linear key gives a chord two framings"),
+        ("dlinear", ((1,), (1,), (2, 2)), "a dlinear key needs two words"),
+        ("double", ((1, 1),), "a double key needs two words"),
     ],
     ids=("framed", "linear", "dlinear", "double"),
 )
-def test_a_malformed_key_is_neither_rebuilt_nor_spelled(key, message):
-    # each of these once came back as a diagram, or a text, of part of the key
+def test_a_malformed_key_is_neither_rebuilt_nor_spelled(kind, payload, message):
+    # each of these once came back as a diagram, or a text, of part of the
+    # key; now the key itself is refused
     for build in (from_key, format_diagram):
         with pytest.raises(InvalidDiagramError) as raised:
-            build(key)
+            build(CanonicalKey(kind, payload))
         assert str(raised.value) == message
 
 
@@ -619,6 +620,63 @@ def test_keys_built_apart_are_equal_and_hash_equal():
         assert key == built and not key != built
         assert hash(key) == hash(built)
         assert {built: 1}[key] == 1
+
+
+_COUNTS = "every chord label must occur exactly twice; offending labels: "
+_PAIRS = "key is a tuple of (chord, framing) pairs"
+_FRAMING = "framing of chord {} must be 0 or 1, got {}"
+_LABEL = "labels are numbered from 1, got "
+
+
+@pytest.mark.parametrize(
+    "kind, payload, error, message",
+    [
+        ("foo", (), InvalidArgumentError, "unknown kind 'foo'"),
+        ("framed", ((1,), (1,)), InvalidDiagramError, "a framed " + _PAIRS),
+        ("linear", [(1, 0), (1, 0)], InvalidDiagramError, "a linear " + _PAIRS),
+        ("framed", ((1, 0), (1, 1)), InvalidDiagramError, "a framed key gives a chord two framings"),
+        ("double", ((1, 1),), InvalidDiagramError, "a double key needs two words"),
+        ("dlinear", ([1, 1], ()), InvalidDiagramError, "a dlinear key needs two words"),
+        ("framed", ((1, 0),), InvalidDiagramError, _COUNTS + "1"),
+        ("double", ((1,), (2,)), InvalidDiagramError, _COUNTS + "1, 2"),
+        ("dlinear", ((1, 1, 1), (2, 2)), InvalidDiagramError, _COUNTS + "1"),
+        ("framed", ((1, True), (1, True)), InvalidDiagramError, _FRAMING.format(1, True)),
+        ("linear", ((1, 2), (1, 2)), InvalidDiagramError, _FRAMING.format(1, 2)),
+        ("linear", ((1.0, 0), (1.0, 0)), ValueError, _LABEL + "1.0"),
+        ("framed", ((1, 0), (True, 0)), ValueError, _LABEL + "True"),
+        ("double", ((True, True), ()), ValueError, _LABEL + "True"),
+        ("dlinear", ((0,), (0,)), ValueError, _LABEL + "0"),
+        ("double", ((2, 2), ("A", "A", -1, -1)), ValueError, _LABEL + "'A'"),
+        # the counts are checked first, then the framings, then the labels
+        ("double", ((1,), ("A", "A")), InvalidDiagramError, _COUNTS + "1"),
+        ("framed", ((1, 0), (1, 0), (2, 1)), InvalidDiagramError, _COUNTS + "2"),
+        ("linear", ((0, 5), (0, 5)), InvalidDiagramError, _FRAMING.format(0, 5)),
+    ],
+)
+def test_a_hand_built_key_is_checked_when_it_is_built(kind, payload, error, message):
+    # whatever ran before: weight has cached the key ((1, 1), ()), which
+    # equals ((True, True), ())
+    assert weight(ModuleElement.single(CanonicalKey("double", ((1, 1), ())))) == 3
+    with pytest.raises(ValueError) as raised:
+        CanonicalKey(kind, payload)
+    # both error classes subclass ValueError, so the class must match
+    assert type(raised.value) is error
+    assert str(raised.value) == message
+
+
+def test_a_tampered_pickle_is_refused():
+    # the second chord number of a pickled ((1, 1), ()) changed to 2
+    key = CanonicalKey("double", ((1, 1), ()))
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        data = pickle.dumps(key, protocol)
+        if protocol == 0:
+            old, new = b"I1\nI1\n", b"I1\nI2\n"
+        else:
+            old, new = b"K\x01K\x01", b"K\x01K\x02"
+        assert data.count(old) == 1
+        with pytest.raises(InvalidDiagramError) as raised:
+            pickle.loads(data.replace(old, new))
+        assert str(raised.value) == _COUNTS + "1, 2"
 
 
 def test_a_key_equals_no_tuple():

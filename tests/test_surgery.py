@@ -277,11 +277,12 @@ def test_weight_kind_restricted():
         (((-1, -1), ()), ValueError),
         # both malformed: the count is checked first
         (((1,), ("A", "A")), InvalidDiagramError),
+        (((1, True), ()), ValueError),
     ],
 )
 def test_weight_refuses_a_malformed_key(payload, error):
-    # the check runs once per distinct key, and (True, True) equals (1, 1)
-    _beta_of_key.cache_clear()
+    # the key refuses to be built, whatever weight has cached: (True, True)
+    # equals (1, 1)
     for kind in ("double", "dlinear"):
         with pytest.raises(ValueError) as raised:
             weight(ModuleElement(kind, [(CanonicalKey(kind, payload), 1)]))
