@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import prod
 
 from .diagrams import (
     _CANONICALIZERS,
@@ -380,8 +381,8 @@ def _integer_lattice(kind, n):
     return index, _sparse_hnf(dict(row) for row in sorted(rows))
 
 
-def _vectorize(element, index):
-    return {index[key]: coeff for key, coeff in element._terms.items()}
+def _vectorize(element, index, scale=1):
+    return {index[key]: scale * coeff for key, coeff in element._terms.items()}
 
 
 def quotient_equal(u: ModuleElement, v: ModuleElement, rational=False, max_degree=None) -> bool:
@@ -390,10 +391,11 @@ def quotient_equal(u: ModuleElement, v: ModuleElement, rational=False, max_degre
     Decided degree by degree: the relations are homogeneous, so ``u - v``
     must lie in the span of the degree-n generators for each chord count n it
     touches.  Membership is over the integers by default (the modules are
-    Z-modules); ``rational=True`` switches to the Q-span, a diagnostic that is
-    coarser or equal, decided on the same HNF basis.  Degrees above the
-    ceiling raise :class:`UndecidedError` rather than ever returning a wrong
-    boolean, and a key that is not canonical raises ``InvalidArgumentError``.
+    Z-modules); ``rational=True`` asks the Z question of the difference times
+    the product of the HNF pivots, which answers for the Q-span: a coarser
+    diagnostic, different on torsion (dlinear 5).  Degrees above the ceiling
+    raise :class:`UndecidedError` rather than ever returning a wrong boolean,
+    and a key that is not canonical raises ``InvalidArgumentError``.
     """
     if not isinstance(u, ModuleElement) or not isinstance(v, ModuleElement):
         raise TypeError("quotient_equal compares ModuleElements")
@@ -409,12 +411,13 @@ def quotient_equal(u: ModuleElement, v: ModuleElement, rational=False, max_degre
                 f"undecided: degree {n} exceeds the ceiling {ceiling} for kind {u.kind}"
             )
         index, basis = _integer_lattice(u.kind, n)
+        scale = prod(row[c] for c, row in basis.items()) if rational else 1
         try:
-            vec = _vectorize(difference.homogeneous_part(n), index)
+            vec = _vectorize(difference.homogeneous_part(n), index, scale)
         except KeyError as exc:
             raise InvalidArgumentError(
                 f"not a canonical {u.kind} key of degree {n}: {exc.args[0]!r}"
             ) from None
-        if _reduce(vec, basis, rational):
+        if _reduce(vec, basis):
             return False
     return True

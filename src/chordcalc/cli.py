@@ -14,7 +14,8 @@ Framing digits are mandatory in the framed kinds (``cd``, ``lcd``) and
 forbidden in the double kinds (``dcd``, ``dlcd``); a double-kind label may
 not end in 0 or 1, which keeps a framed word from silently parsing as bare
 labels.  Exit codes: 0 success, 1 mathematical "no" answers (quotient-eq
-false, no witness, a failed sweep), 2 usage or parse errors.
+false, no witness, a failed sweep), 2 usage or parse errors and an ``--out``
+file that cannot be written.
 """
 
 from __future__ import annotations
@@ -438,8 +439,12 @@ def main(argv=None) -> int:
         # the file first, so that it is complete even if stdout's reader
         # closes early
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
+            try:
+                with open(args.out, "w", encoding="utf-8") as fh:
+                    fh.write(text + "\n")
+            except OSError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
         print(text)
     return code
 

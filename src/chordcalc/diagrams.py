@@ -20,7 +20,8 @@ Labels are arbitrary hashable values; canonicalization erases them.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache, total_ordering
+from dataclasses import dataclass
+from functools import lru_cache
 
 KINDS = ("framed", "double", "linear", "dlinear")
 
@@ -34,7 +35,7 @@ class InvalidArgumentError(ValueError):
     index out of range, or a diagram kind it is not defined on."""
 
 
-@total_ordering
+@dataclass(frozen=True, order=True)
 class CanonicalKey:
     """Canonical form of a diagram; equal keys mean isomorphic diagrams.
 
@@ -53,15 +54,18 @@ class CanonicalKey:
     The library's own keys are valid by construction and skip the check
     (``_key``).
 
-    A key is immutable and compares, orders and prints as the pair ``(kind,
-    payload)`` would as a frozen dataclass of those two fields; it equals
-    no tuple.  Its hash is computed on first use and kept, since keys are
-    looked up in dicts and caches many times and tuples do not keep theirs.
+    A key is a frozen dataclass of ``kind`` and ``payload``: it compares,
+    orders and prints as the pair of fields, and equals no tuple.  Its hash
+    is computed on first use and kept in a third slot, since keys are looked
+    up in dicts and caches many times and tuples do not keep theirs.
     """
 
     __slots__ = ("kind", "payload", "_hash")
+    kind: str
+    payload: tuple
 
-    def __init__(self, kind: str, payload: tuple):
+    def __post_init__(self):
+        kind, payload = self.kind, self.payload
         if kind in ("framed", "linear"):
             if type(payload) is not tuple or not all(
                 type(t) is tuple and len(t) == 2 for t in payload
@@ -86,8 +90,6 @@ class CanonicalKey:
             for num in word:
                 if type(num) is not int or num < 1:
                     raise ValueError(f"labels are numbered from 1, got {num!r}")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "payload", payload)
 
     def __hash__(self):
         try:
@@ -96,25 +98,6 @@ class CanonicalKey:
             h = hash((self.kind, self.payload))
             object.__setattr__(self, "_hash", h)
             return h
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.kind, self.payload) == (other.kind, other.payload)
-        return NotImplemented
-
-    def __lt__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.kind, self.payload) < (other.kind, other.payload)
-        return NotImplemented
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __repr__(self):
-        return f"CanonicalKey(kind={self.kind!r}, payload={self.payload!r})"
 
     def __reduce__(self):
         # rebuilt from its fields, and checked: a stored hash of a str is per

@@ -6,16 +6,19 @@ elimination, :func:`_sparse_hnf`.  The relation matrices the 4T lattices are
 built from hold about four nonzeros per row in up to 10,395 columns, so it
 takes ``{column: nonzero}`` rows and returns its basis sparse; the lattice
 path calls it directly.  There is one reduction by such a basis,
-:func:`_reduce`.  The public functions take a dense ``IntMatrix`` and run
-the same engine on augmented rows: :func:`hnf` on ``[a | I]``, reading the
-unimodular ``U`` off the unit columns, and :func:`solve_diophantine` on the
-columns of ``a`` tagged the same way, reading the solution off the tags.
+:func:`_reduce`, which the elimination also runs on every row it inserts.
+It answers over Z only: a vector lies in the Q-span of an echelon basis
+exactly when ``D`` times it lies in the Z-span, ``D`` the product of the
+pivots, so ``algebra.quotient_equal`` asks the Q question that way.  The
+public functions take a dense ``IntMatrix`` and run the same engine on
+augmented rows: :func:`hnf` on ``[a | I]``, reading the unimodular ``U``
+off the unit columns, and :func:`solve_diophantine` on the columns of ``a``
+tagged the same way, reading the solution off the tags.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from math import gcd
 
 
 class IntMatrix:
@@ -126,36 +129,32 @@ def _sparse_hnf(rows):
 
     Each row is a ``{column: nonzero}`` dict, inserted into a map from pivot
     column to basis row.  A row whose leading column already has a basis row
-    is reduced by it when the pivot divides the entry; otherwise the two rows
-    are replaced by their 2x2 unimodular extended-gcd combination, whose first
-    row takes the pivot (the gcd) and whose second row, zero there, is
-    inserted further.  A row that reaches a free column becomes a basis row
-    with a positive pivot.  Every new basis row has its tail reduced at once
-    at the later pivots (:func:`_reduce_tail`): without it the extended-gcd
-    combinations grow the entries of dense input without bound, and the rows
-    inserted later fill in against unreduced tails.  Back-reduction then
-    reduces the tail of every basis row once more, from the last pivot up,
-    so that every entry above a pivot lies in ``[0, pivot)``.  The row operations are unimodular,
-    so the lattice is unchanged, and the insertion order is free: rows go in
-    by descending last nonzero column.  On the linear n=4 relation rows
-    (4980 x 1680) that takes 0.07 s, against 0.26 s in row order and 0.75 s
-    by ascending last column (one run each, a 2-vCPU VM, Python 3.11.7).
-    The rows are consumed: they are reduced in place and may become basis
-    rows.
+    is reduced by it (:func:`_reduce`) while the pivot divides the entry;
+    otherwise the two rows are replaced by their 2x2 unimodular extended-gcd
+    combination, whose first row takes the pivot (the gcd) and whose second
+    row, zero there, is inserted further.  A row that reaches a free column
+    becomes a basis row with a positive pivot.  Every new basis row has its
+    tail reduced at once at the later pivots (:func:`_reduce_tail`): without
+    it the extended-gcd combinations grow the entries of dense input without
+    bound, and the rows inserted later fill in against unreduced tails.
+    Back-reduction then reduces the tail of every basis row once more, from
+    the last pivot up, so that every entry above a pivot lies in
+    ``[0, pivot)``.  The row operations are unimodular, so the lattice is
+    unchanged, and the insertion order is free: rows go in by descending
+    last nonzero column.  On the linear n=4 relation rows (4980 x 1680) that
+    takes 0.07 s, against 0.26 s in row order and 0.75 s by ascending last
+    column (one run each, a 2-vCPU VM, Python 3.11.7).  The rows are
+    consumed: they are reduced in place and may become basis rows.
     """
     basis = {}  # pivot column -> the basis row that starts there
     for row in sorted(filter(None, rows), key=max, reverse=True):
-        while row:
+        while _reduce(row, basis):
             c = min(row)
             top = basis.get(c)
             if top is None:
                 basis[c] = row if row[c] > 0 else {k: -x for k, x in row.items()}
                 _reduce_tail(basis[c], c, basis)
                 break
-            q, rem = divmod(row[c], top[c])
-            if not rem:
-                _add_multiple(row, -q, top)
-                continue
             g, s, t = _xgcd(top[c], row[c])
             p, v = top[c] // g, row[c] // g
             basis[c] = {k: s * x for k, x in top.items()} if s else {}
@@ -192,26 +191,18 @@ def _reduce_tail(row, c, basis):
                 heappush(todo, j)
 
 
-def _reduce(vec, basis, rational=False):
-    """What is left of the sparse vector ``vec`` once it is reduced at its
-    least column by the echelon ``basis`` (pivot column -> sparse row), for
-    as long as a row has its pivot there and, over Z, divides the entry: it
-    is empty exactly when ``vec`` lies in the Z-span of the basis (with
-    ``rational``, the Q-span).  Over Q an entry the pivot does not divide is
-    first scaled by the least integer that makes it divisible, which keeps
-    Q-membership and keeps the arithmetic integer.
+def _reduce(vec, basis):
+    """Reduce the sparse vector ``vec`` in place at its least column by the
+    echelon ``basis`` (pivot column -> sparse row), for as long as a row has
+    its pivot there and divides the entry, and return it: it ends empty
+    exactly when ``vec`` lies in the Z-span of the basis.
     """
-    residual = dict(vec)
-    while residual and (row := basis.get(c := min(residual))):
-        q, rem = divmod(residual[c], row[c])
+    while vec and (row := basis.get(c := min(vec))):
+        q, rem = divmod(vec[c], row[c])
         if rem:
-            if not rational:
-                break
-            scale = row[c] // gcd(rem, row[c])
-            residual = {k: scale * x for k, x in residual.items()}
-            q = residual[c] // row[c]
-        _add_multiple(residual, -q, row)
-    return residual
+            break
+        _add_multiple(vec, -q, row)
+    return vec
 
 
 def solve_diophantine(a: IntMatrix, b):

@@ -35,7 +35,8 @@ class CutPoint:
     """An arc on a stored representative: the arc following endpoint ``arc``.
 
     Arc indices run over ``0 .. 2n-1``; the empty diagram has the single cut
-    point 0.  Cuts never touch chord endpoints.
+    point 0.  Cuts never touch chord endpoints.  A cut point is taken only
+    with a diagram of its diagram's word and framing.
     """
 
     diagram: FramedChordDiagram
@@ -53,8 +54,14 @@ def _check_arc(d, arc):
 
 
 def _arc_of(cut, d):
+    """The arc index of ``cut`` on ``d``: an int, or a ``CutPoint`` on a
+    diagram with ``d``'s word and framing, since its arc counts along that
+    stored word."""
     if isinstance(cut, CutPoint):
-        return _check_arc(d, cut.arc)
+        other = cut.diagram
+        if (other.word, other.framing) != (d.word, d.framing):
+            raise InvalidArgumentError(f"a cut point of {other!r}, not of {d!r}")
+        cut = cut.arc
     return _check_arc(d, cut)
 
 

@@ -3,11 +3,10 @@
 import hashlib
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
-from chordcalc import intlinalg
 from chordcalc.algebra import (
     KindMismatchError,
     ModuleElement,
@@ -577,15 +576,21 @@ def test_lattice_shapes_are_pinned(kind, n):
 
 def test_rational_membership_scales_past_a_pivot_above_one():
     # framed n <= 4, double n <= 4, linear n <= 3 and dlinear n <= 3 have only
-    # pivots of 1 (see LATTICE_SHAPES); these hand-made sparse bases reach the
-    # scaling step without building dlinear n = 4 or double n = 5
-    assert _reduce({0: 1}, {0: {0: 2}}, rational=False)
-    assert not _reduce({0: 1}, {0: {0: 2}}, rational=True)
-    basis = {0: {0: 2, 2: 1}, 1: {1: 2, 2: 1}}
-    assert _reduce({0: 1, 1: 1, 2: 1}, basis, rational=False)
-    assert not _reduce({0: 1, 1: 1, 2: 1}, basis, rational=True)
-    assert _reduce({0: 1}, basis, rational=True)
-    assert not _reduce({0: 2, 1: 2, 2: 2}, basis, rational=False)
+    # pivots of 1 (see LATTICE_SHAPES); these hand-made sparse bases reach a
+    # scale above 1 without building dlinear n = 4 or double n = 5.  Over Q a
+    # vector is in the span when D times it is in the Z-span, D the product
+    # of the pivots.
+    assert _reduce({0: 1}, {0: {0: 2}})
+    assert not _reduce({0: 2}, {0: {0: 2}})  # D = 2
+    basis = {0: {0: 2, 2: 1}, 1: {1: 2, 2: 1}}  # D = 4
+    assert _reduce({0: 1, 1: 1, 2: 1}, basis)
+    assert not _reduce({0: 4, 1: 4, 2: 4}, basis)
+    assert _reduce({0: 4}, basis)
+    assert not _reduce({0: 2, 1: 2, 2: 2}, basis)
+    # Z^2 / span is Z/4: the lcm of the pivots, 2, is not enough for e0
+    z4 = {0: {0: 2, 1: 1}, 1: {1: 2}}
+    assert _reduce({0: 2}, z4) == {1: -1}
+    assert not _reduce({0: 4}, z4)
 
 
 def dense_in_span(vec, hrows, pivots, rational):
@@ -611,9 +616,7 @@ def dense_in_span(vec, hrows, pivots, rational):
     [(kind, n) for kind in KINDS for n in range(4)]
     + [("framed", 4), ("double", 4), ("dlinear", 4)],
 )
-def test_sparse_membership_matches_the_dense_oracle(kind, n, monkeypatch):
-    scaled = []
-    monkeypatch.setattr(intlinalg, "gcd", lambda a, b: scaled.append(b) or gcd(a, b))
+def test_sparse_membership_matches_the_dense_oracle(kind, n):
     index, basis = _integer_lattice(kind, n)
     hrows = [densify(row, len(index)) for row in basis.values()]
     gens = [g.element for g in generate_4T(kind, n)]
@@ -629,15 +632,59 @@ def test_sparse_membership_matches_the_dense_oracle(kind, n, monkeypatch):
         vectors += [total, near, 2 * total, 2 * near]
     answers = set()
     for element in vectors:
-        vec = _vectorize(element, index)
+        vec = densify(_vectorize(element, index), len(index))
         for rational in (False, True):
-            expected = dense_in_span(densify(vec, len(index)), hrows, list(basis), rational)
-            assert (not _reduce(vec, basis, rational)) == expected
+            expected = dense_in_span(vec, hrows, list(basis), rational)
+            assert quotient_equal(element, zero, rational=rational) == expected
             answers.add(expected)
     assert answers == {True, False}
     if (kind, n) == ("dlinear", 4):
-        # its pivot of 2 at column 877 takes the Q reduction through scaling
-        assert 2 in scaled
+        # its pivot of 2 at column 877 makes the Q question scale by 2
+        assert prod(row[c] for c, row in basis.items()) == 2
+
+
+# Half of the one all-even row of dlinear 5's Hermite basis (the row with
+# pivot 2 at column 9944; no other nonempty set of its ten pivot-2 rows has an
+# all-even sum): an element of order 2 in the quotient, dlinear 5 being
+# Z^148 + Z/2
+DLINEAR_5_TORSION = (
+    (((1, 2, 3, 4, 5, 2, 1), (5, 4, 3)), 1),
+    (((1, 2, 3, 4, 5, 3, 1), (5, 4, 2)), -3),
+    (((1, 2, 3, 4, 5, 3, 2, 1), (5, 4)), -1),
+    (((1, 2, 3, 4, 5, 4), (5, 2, 1, 3)), 1),
+    (((1, 2, 3, 4, 5, 4), (5, 3, 1, 2)), -2),
+    (((1, 2, 3, 4, 5, 4), (5, 3, 2, 1)), 1),
+    (((1, 2, 3, 4, 5, 4, 1), (5, 3, 2)), 2),
+    (((1, 2, 3, 4, 5, 4, 2), (5, 3, 1)), 2),
+    (((1, 2, 3, 4, 5, 4, 2, 1), (5, 3)), 3),
+    (((1, 2, 3, 4, 5, 4, 3), (5, 1, 2)), -1),
+    (((1, 2, 3, 4, 5, 4, 3, 1), (5, 2)), -2),
+    (((1, 2, 3, 4, 5, 4, 3, 2), (5, 1)), 1),
+    (((1, 2, 3, 4, 5, 5, 1), (4, 3, 2)), -1),
+    (((1, 2, 3, 4, 5, 5, 3), (4, 1, 2)), 2),
+    (((1, 2, 3, 4, 5, 5, 3), (4, 2, 1)), -2),
+    (((1, 2, 3, 4, 5, 5, 3, 1), (4, 2)), -2),
+    (((1, 2, 3, 4, 5, 5, 3, 2), (4, 1)), -1),
+    (((1, 2, 3, 4, 5, 5, 4, 1), (3, 2)), 1),
+    (((1, 2, 3, 4, 5, 5, 4, 2), (3, 1)), 1),
+)
+
+
+def test_the_dlinear_degree_five_torsion_element():
+    # the one lattice at a degree max_degree=5 reaches whose Z and Q answers
+    # differ: X is not 0 over Z, is 0 over Q (the difference scaled by the
+    # product of the pivots, 2**10), and 2X is 0 over Z; no weight sees it
+    x = ModuleElement(
+        "dlinear", [(CanonicalKey("dlinear", payload), c) for payload, c in DLINEAR_5_TORSION]
+    )
+    zero = ModuleElement.zero("dlinear")
+    assert len(x) == 19
+    assert not quotient_equal(x, zero, max_degree=5)
+    assert quotient_equal(x, zero, rational=True, max_degree=5)
+    assert quotient_equal(2 * x, zero, max_degree=5)
+    assert weight(x) == 0
+    index, basis = _integer_lattice("dlinear", 5)
+    assert prod(row[c] for c, row in basis.items()) == 2**10
 
 
 def test_quotient_kind_mismatch():

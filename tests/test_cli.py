@@ -637,6 +637,17 @@ def test_out_flag(tmp_path, capsys):
     assert target.read_text() == out
 
 
+def test_out_to_a_path_that_cannot_be_written(tmp_path, capsys):
+    # a usage error, not the mathematical "no" of exit 1: one line on stderr
+    # and nothing on stdout
+    target = tmp_path / "missing" / "result.txt"
+    for argv in (("canon", "cd: A0 A0"), ("quotient-eq", "dcd: A | A", "dcd: A A |")):
+        code, out, err = run_main(capsys, "--out", str(target), *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: [Errno 2] No such file or directory: {str(target)!r}\n"
+    assert not target.parent.exists()
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "chordcalc", "beta", "dcd: A | A"],

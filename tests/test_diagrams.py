@@ -9,6 +9,7 @@ import functools
 import itertools
 import pickle
 import random
+import sys
 
 import pytest
 
@@ -730,6 +731,18 @@ def test_a_key_pickles_and_caches():
 
     assert chords(key) == chords(CanonicalKey("double", ((1, 2), (1, 2)))) == 2
     assert chords.cache_info().hits == 1
+
+
+def test_a_key_holds_three_slots_and_no_dict():
+    # every cached key costs its three slots (kind, payload, the kept hash)
+    # and nothing more: 56 bytes on 64-bit CPython 3.11
+    class ThreeSlots:
+        __slots__ = ("a", "b", "c")
+
+    for key in (CanonicalKey("double", ((1, 1), ())), enumerate_diagrams("framed", 2)[0]):
+        hash(key)
+        assert not hasattr(key, "__dict__")
+        assert sys.getsizeof(key) == sys.getsizeof(ThreeSlots())
 
 
 # --- closure and reversal ------------------------------------------------------

@@ -7,6 +7,7 @@ from chordcalc.diagrams import (
     DoubleLinearDiagram,
     FramedChordDiagram,
     FramedLinearDiagram,
+    InvalidArgumentError,
     enumerate_diagrams,
     from_key,
 )
@@ -83,6 +84,26 @@ def test_cut_point_objects_accepted():
     via_int = connected_sum_framed(d1, 1, d2, 0)
     via_cut = connected_sum_framed(d1, CutPoint(d1, 1), d2, CutPoint(d2, 0))
     assert via_int.key() == via_cut.key()
+
+
+def test_a_cut_point_of_another_diagram_is_refused():
+    d1 = fcd("A A", {"A": 1})
+    d2 = fcd("B B C C", {"B": 0, "C": 1})
+    refused = [
+        lambda: connected_sum_framed(d1, CutPoint(d2, 1), d2, 0),
+        lambda: connected_sum_framed(d1, 0, d2, CutPoint(d1, 1)),
+        lambda: cut_open(d1, CutPoint(d2, 1)),
+        # same word, other framing; a rotated or relabelled word
+        lambda: cut_open(d1, CutPoint(fcd("A A", {"A": 0}), 1)),
+        lambda: cut_open(d2, CutPoint(fcd("C C B B", {"B": 0, "C": 1}), 1)),
+        lambda: cut_open(d1, CutPoint(fcd("B B", {"B": 1}), 1)),
+    ]
+    for call in refused:
+        with pytest.raises(InvalidArgumentError, match="^a cut point of FramedChordDiagram"):
+            call()
+    # an equal copy is the same stored word
+    copy = fcd("A A", {"A": 1})
+    assert cut_open(d1, CutPoint(copy, 1)).word == cut_open(d1, 1).word
 
 
 def test_sum_well_defined_on_raw_diagrams():
