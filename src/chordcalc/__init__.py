@@ -32,7 +32,6 @@ from .diagrams import (
     restrict,
     reverse_word,
 )
-from .intlinalg import IntMatrix, hnf, solve_diophantine
 from .parity import psi, psi_l, psi_l_module, psi_l_summands, psi_module, psi_summands
 from .sums import (
     CutPoint,
@@ -56,7 +55,6 @@ __all__ = [
     "DoubleLinearDiagram",
     "FramedChordDiagram",
     "FramedLinearDiagram",
-    "IntMatrix",
     "InvalidArgumentError",
     "InvalidDiagramError",
     "KINDS",
@@ -79,7 +77,6 @@ __all__ = [
     "from_key",
     "generate_2T_pairs",
     "generate_4T",
-    "hnf",
     "psi",
     "psi_l",
     "psi_l_module",
@@ -91,7 +88,6 @@ __all__ = [
     "reverse_word",
     "search_counterexample",
     "smoothing_graph",
-    "solve_diophantine",
     "weight",
     "witness_quotient_split",
 ]

@@ -15,12 +15,14 @@ forbidden in the double kinds (``dcd``, ``dlcd``); a double-kind label may
 not end in 0 or 1, which keeps a framed word from silently parsing as bare
 labels.  Exit codes: 0 success, 1 mathematical "no" answers (quotient-eq
 false, no witness, a failed sweep), 2 usage or parse errors and an ``--out``
-file that cannot be written.
+file that cannot be written, 3 an internal error (any other exception), with
+its traceback on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 
@@ -349,12 +351,18 @@ def _cmd_find_counterexample(args):
 
 
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    # usage and help at the width that COLUMNS=80 gives, whatever the
+    # terminal's, so that the text of a usage error is the same everywhere
+    parser_class = functools.partial(
+        argparse.ArgumentParser,
+        formatter_class=lambda prog: argparse.HelpFormatter(prog, width=78),
+    )
+    parser = parser_class(
         prog="chordcalc",
         description="Calculus of framed, double, and linear chord diagrams.",
     )
     parser.add_argument("--out", metavar="PATH", help="also write the output to a file")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=parser_class)
 
     p = sub.add_parser("canon", help="canonical form of a diagram or element")
     p.add_argument("input")
@@ -451,9 +459,16 @@ def main(argv=None) -> int:
 
 def console_main():
     import signal  # only the process entry point needs it, not library users
+    import traceback
 
     if hasattr(signal, "SIGPIPE"):
         # a reader that closes early (``| head``) ends the process quietly,
         # as it ends other filters, instead of a BrokenPipeError traceback
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
-    raise SystemExit(main())
+    try:
+        code = main()
+    except Exception:
+        # a bug, not an answer: exit 1 would read as a mathematical "no"
+        traceback.print_exc()
+        code = 3
+    raise SystemExit(code)

@@ -1,105 +1,21 @@
-"""Exact integer matrix algebra: Hermite normal form and Diophantine solving.
+"""Exact integer lattice engine: a sparse Hermite normal form and
+reduction by it.
 
 Everything here runs on arbitrary-precision Python integers; no floating
 point is ever involved, so span-membership answers are exact.  There is one
 elimination, :func:`_sparse_hnf`.  The relation matrices the 4T lattices are
 built from hold about four nonzeros per row in up to 10,395 columns, so it
-takes ``{column: nonzero}`` rows and returns its basis sparse; the lattice
-path calls it directly.  There is one reduction by such a basis,
-:func:`_reduce`, which the elimination also runs on every row it inserts.
-It answers over Z only: a vector lies in the Q-span of an echelon basis
-exactly when ``D`` times it lies in the Z-span, ``D`` the product of the
-pivots, so ``algebra.quotient_equal`` asks the Q question that way.  The
-public functions take a dense ``IntMatrix`` and run the same engine on
-augmented rows: :func:`hnf` on ``[a | I]``, reading the unimodular ``U``
-off the unit columns, and :func:`solve_diophantine` on the columns of ``a``
-tagged the same way, reading the solution off the tags.
+takes ``{column: nonzero}`` rows and returns its basis sparse.  There is one
+reduction by such a basis, :func:`_reduce`, which the elimination also runs
+on every row it inserts.  It answers over Z only: a vector lies in the
+Q-span of an echelon basis exactly when ``D`` times it lies in the Z-span,
+``D`` the product of the pivots, so ``algebra.quotient_equal`` asks the Q
+question that way.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
-
-
-class IntMatrix:
-    """A dense rectangular matrix of Python ints: the validated input and
-    output type of :func:`hnf` and :func:`solve_diophantine`."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, entries, cols=None):
-        entries = [list(row) for row in entries]
-        if entries:
-            width = len(entries[0])
-            if any(len(row) != width for row in entries):
-                raise ValueError("ragged rows")
-            if cols is not None and cols != width:
-                raise ValueError("cols disagrees with row width")
-            cols = width
-        elif cols is None:
-            raise ValueError("a matrix with no rows needs an explicit column count")
-        for row in entries:
-            for x in row:
-                if not isinstance(x, int):
-                    raise TypeError(f"integer entries only, got {type(x).__name__}")
-        self.rows = len(entries)
-        self.cols = cols
-        self.entries = entries
-
-    def __matmul__(self, other):
-        if not isinstance(other, IntMatrix):
-            return NotImplemented
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch")
-        return IntMatrix(
-            [
-                [
-                    sum(self.entries[i][k] * other.entries[k][j] for k in range(self.cols))
-                    for j in range(other.cols)
-                ]
-                for i in range(self.rows)
-            ],
-            cols=other.cols,
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, IntMatrix)
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __repr__(self):
-        return f"IntMatrix({self.entries!r})"
-
-
-def hnf(a: IntMatrix):
-    """Row-style Hermite normal form: returns ``(H, U)`` with ``H = U @ a``.
-
-    ``H`` is in row echelon form with positive pivots; every entry above a
-    pivot is reduced into ``[0, pivot)``, and zero rows sink to the bottom.
-    ``U`` is unimodular (``det U`` is +-1).  Both come from one run of
-    :func:`_sparse_hnf` on the rows of ``[a | I]``, whose unit columns
-    record which combination of the rows of ``a`` each basis row is:
-    split at column ``a.cols``, a basis row is a row of ``H`` on the left
-    and the same row of ``U`` on the right.  Basis rows with their pivot
-    in the unit columns are zero on the left and come last.  ``H`` is
-    unique; ``U`` is one of many valid unimodular matrices.
-    """
-    m, n = a.rows, a.cols
-    basis = _sparse_hnf(
-        {**{c: x for c, x in enumerate(row) if x}, n + i: 1}
-        for i, row in enumerate(a.entries)
-    )
-    h = [[0] * n for _ in range(m)]
-    u = [[0] * m for _ in range(m)]
-    for h_row, u_row, row in zip(h, u, basis.values()):
-        for c, x in row.items():
-            if c < n:
-                h_row[c] = x
-            else:
-                u_row[c - n] = x
-    return IntMatrix(h, cols=n), IntMatrix(u, cols=m)
 
 
 def _xgcd(a, b):
@@ -203,34 +119,3 @@ def _reduce(vec, basis):
             break
         _add_multiple(vec, -q, row)
     return vec
-
-
-def solve_diophantine(a: IntMatrix, b):
-    """Some integer solution ``x`` of ``a @ x = b``, or ``None``.
-
-    The columns of ``a`` span an integer lattice.  :func:`_sparse_hnf` runs
-    on those columns, column ``j`` tagged by a unit entry at ``a.rows + j``,
-    so every basis row is ``(a @ t, t)`` for the integer combination ``t``
-    of columns it stands for.  ``b`` is reduced over Z by the basis rows with
-    their pivot among the ``a.rows`` leading columns.  When the leading
-    entries are cleared, ``a @ x = b`` holds for ``x`` minus what is left in
-    the tag columns; a leading entry left means that ``b`` is outside the
-    lattice.  The answer is exact in both directions: a returned vector
-    satisfies the system, and ``None`` means no integer solution exists.
-    """
-    b = list(b)
-    for x in b:
-        if not isinstance(x, int):
-            raise TypeError(f"integer right-hand side only, got {type(x).__name__}")
-    if len(b) != a.rows:
-        raise ValueError("dimension mismatch between matrix and right-hand side")
-    m = a.rows
-    basis = _sparse_hnf(
-        {**{i: row[j] for i, row in enumerate(a.entries) if row[j]}, m + j: 1}
-        for j in range(a.cols)
-    )
-    leading = {c: row for c, row in basis.items() if c < m}
-    residual = _reduce({i: x for i, x in enumerate(b) if x}, leading)
-    if residual and min(residual) < m:
-        return None
-    return [-residual.get(m + j, 0) for j in range(a.cols)]

@@ -1,6 +1,7 @@
 """The text grammar, command dispatch, exit codes, and output determinism."""
 
 import hashlib
+import itertools
 import os
 import random
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from chordcalc import cli, verify
-from chordcalc.algebra import ModuleElement, generate_4T
+from chordcalc.algebra import ModuleElement, generate_2T_pairs, generate_4T
 from chordcalc.cli import (
     ParseError,
     format_diagram,
@@ -572,6 +573,34 @@ def test_check_4t_expands_each_generator_once(monkeypatch, capsys):
         assert f"generators: {len(calls)}" in out.splitlines()
 
 
+def test_check_4t_reports_failed_sweeps(monkeypatch, capsys):
+    # every sweep fails: no weight is zero, beta differs on every 2T pair
+    # and no parity image lies in the relation span
+    betas = itertools.count()
+    monkeypatch.setattr(verify, "weight", lambda element: 1)
+    monkeypatch.setattr(verify, "_beta_of_key", lambda key: next(betas))
+    monkeypatch.setattr(verify, "quotient_equal", lambda u, v: False)
+    code, out, err = run_main(capsys, "check-4t", "--kind", "double", "--degree", "3")
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        "kind: double",
+        "degree: 3",
+        f"generators: {len(generate_4T('double', 3))}",
+        f"2t-pairs: {len(generate_2T_pairs('double', 3))}",
+        "w-kill: FAIL",
+        "2T: FAIL",
+    ]
+    code, out, err = run_main(capsys, "check-4t", "--kind", "framed", "--degree", "3")
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        "kind: framed",
+        "degree: 3",
+        f"generators: {len(generate_4T('framed', 3))}",
+        "psi-w-kill: FAIL",
+        "psi-span: FAIL",
+    ]
+
+
 def test_check_4t_rejects_negative_degree(capsys):
     for kind in ("framed", "double"):
         code, out, err = run_main(capsys, "check-4t", "--kind", kind, "--degree", "-1")
@@ -604,6 +633,51 @@ def test_internal_value_error_is_not_a_usage_error(monkeypatch, capsys):
     with pytest.raises(ValueError, match="internal"):
         main(["enumerate", "--kind", "framed", "--degree", "2"])
     assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("argv", [("frobnicate", "cd: A0 A0"), ("check-4t", "--degree", "3")])
+def test_usage_text_does_not_depend_on_the_terminal_width(argv, monkeypatch, capsys):
+    errors = set()
+    for columns in ("40", "80", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        code, out, err = run_main(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: chordcalc ")
+        errors.add(err)
+    assert len(errors) == 1
+
+
+# runs one command with the function behind it replaced by one that raises
+BROKEN_COMMAND = """
+from chordcalc import cli
+
+def broken(args):
+    raise {error}("internal")
+
+cli.{command} = broken
+cli.console_main()
+"""
+
+
+@pytest.mark.parametrize(
+    "command, error, argv",
+    [
+        ("_cmd_quotient_eq", "RuntimeError", ("quotient-eq", "dcd: A | A", "dcd: A A |")),
+        ("_cmd_find_counterexample", "MemoryError", ("find-counterexample", "--max-chords", "3")),
+    ],
+)
+def test_internal_error_exits_three(command, error, argv):
+    # a bug is neither a mathematical "no" (exit 1) nor a usage error (2)
+    proc = subprocess.run(
+        [sys.executable, "-c", BROKEN_COMMAND.format(command=command, error=error), *argv],
+        cwd=Path(__file__).resolve().parents[1] / "src",
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("Traceback (most recent call last):\n")
+    assert proc.stderr.endswith(f"{error}: internal\n")
 
 
 def test_find_counterexample_command(capsys):
