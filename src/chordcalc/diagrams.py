@@ -303,7 +303,7 @@ def _least_rotation(circles, starts, marked=False):
     ``2 * chord + framing`` (see ``_codes``) and relabels to ``2 * number +
     framing``, which orders as the ``(number, framing)`` token does.
     Returns the least relabelled rotation and, for every start attaining
-    it in scan order, ``(circle index, its completed numbering)``.
+    it in scan order, ``(circle index, start, its completed numbering)``.
 
     Each rotation is relabelled lazily against the best so far and dropped
     at its first larger label; a full relabelling is built only for a new
@@ -327,18 +327,19 @@ def _least_rotation(circles, starts, marked=False):
             else:
                 less = len(rot) < len(best)
                 if len(rot) == len(best):
-                    ties.append((ci, numbering))
+                    ties.append((ci, r, numbering))
             if not less:
                 continue
         # the numbering is complete up to where the scan broke off
         best = _numbered_codes(rot, numbering) if marked else _numbered(rot, numbering)
-        ties = [(ci, numbering)]
+        ties = [(ci, r, numbering)]
     return best, ties
 
 
 def _least_framed_rotation(word):
     """The least relabelled rotation of a framed code word (see ``_codes``),
-    and a numbering of its codes that attains it.
+    a numbering of its codes that attains it, and the start of the rotation
+    numbered so: the first that attains it.
 
     Only the rotations whose first two relabelled codes (the head) are least
     are scanned, and the one rotation of a word shorter than two codes.  A
@@ -359,12 +360,13 @@ def _least_framed_rotation(word):
             elif v0 == least0 and v1 == least1:
                 starts.append((0, r))
     best, ties = _least_rotation(((word, {}),), starts, marked=True)
-    return best, ties[0][1]
+    _, start, numbering = ties[0]
+    return best, numbering, start
 
 
 @lru_cache(maxsize=None)
 def _canon_framed(word) -> CanonicalKey:
-    best, _ = _least_framed_rotation(word)
+    best = _least_framed_rotation(word)[0]
     return _key("framed", tuple(map(_TOKENS.__getitem__, best)))
 
 
@@ -403,16 +405,19 @@ def _least_gap_starts(word):
 
 
 def _least_circle_pair(w1, w2):
-    """The least relabelled pair of two circle words, and a numbering of
-    their labels that attains it.
+    """The least relabelled pair of two circle words, a numbering of their
+    labels that attains it, and where it puts each word.
 
     The pair is the least ``(t1, t2)``: rotations of the two words, in
     either circle order, numbered together by first occurrence.  The
     numbering is that of the first rotation pair attaining it in the order
     (first circle, its start, start on the other circle), the order in
     which the full rotation scan meets them; ``algebra._moves`` numbers the
-    target chord of a slide by it.  The words need not form a diagram: a
-    label may occur once, as in a diagram with one endpoint removed.
+    target chord of a slide by it.  The placement of that pair gives, for
+    ``w1`` and then ``w2``, ``(i, start)``: the word is rotated to start at
+    ``start`` and becomes ``t1`` for ``i = 0``, ``t2`` for ``i = 1``.  The
+    words need not form a diagram: a label may occur once, as in a diagram
+    with one endpoint removed.
     """
     # Pairs compare by t1 first, and t1 depends on the first rotation alone,
     # so stage 1 takes the least t1 over the rotations of both words, and
@@ -432,9 +437,9 @@ def _least_circle_pair(w1, w2):
     gaps = (_least_gap_starts(w1), _least_gap_starts(w2))
     least = min(gaps[0][0], gaps[1][0])
     starts = [(ci, r) for ci, (g, rs, _) in enumerate(gaps) if g == least for r in rs]
-    best1, ties = _least_rotation(((w1, {}), (w2, {})), starts)
+    best1, firsts = _least_rotation(((w1, {}), (w2, {})), starts)
     circles, starts = [], []
-    for ti, (ci, numbering) in enumerate(ties):
+    for ti, (ci, _, numbering) in enumerate(firsts):
         _, own, first = gaps[1 - ci]
         circles.append((words[1 - ci], numbering))
         for lab in numbering:
@@ -445,7 +450,10 @@ def _least_circle_pair(w1, w2):
         else:
             starts += [(ti, r) for r in own]
     best2, ties = _least_rotation(circles, starts)
-    return (best1, best2), ties[0][1]
+    ti, r2, numbering = ties[0]
+    ci, r1, _ = firsts[ti]
+    placed = ((0, r1), (1, r2)) if ci == 0 else ((1, r2), (0, r1))
+    return (best1, best2), numbering, placed
 
 
 @lru_cache(maxsize=None)
@@ -545,7 +553,7 @@ def _circle_gaps(partner, lo, hi):
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def enumerate_diagrams(kind: str, n: int):
     """All canonical keys of diagrams with exactly ``n`` chords, sorted.
 
@@ -574,9 +582,16 @@ def enumerate_diagrams(kind: str, n: int):
     0.7-0.9 s for double, 0.9-1.0 s for dlinear and 3.5-3.9 s for linear,
     whose 665,280 keys peak at 280 MB (three runs each, a shared 2-vCPU VM,
     Python 3.11.7); the shipped verification sweeps use n <= 4.
+
+    An unknown kind, an ``n`` that is not an ``int`` (``2.0`` and ``True``
+    included) and a negative ``n`` raise ``InvalidArgumentError``.  The
+    cache is typed, so a call that refuses its degree refuses it whatever
+    was cached before.
     """
     if kind not in KINDS:
         raise InvalidArgumentError(f"unknown kind {kind!r}")
+    if type(n) is not int:
+        raise InvalidArgumentError(f"chord count must be an int, got {n!r}")
     if n < 0:
         raise InvalidArgumentError("chord count must be nonnegative")
     size = 2 * n

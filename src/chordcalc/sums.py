@@ -161,6 +161,8 @@ def search_counterexample(max_chords: int):
     the weight descends to it; :func:`chordcalc.algebra.quotient_equal`
     confirms the inequality exactly.
     """
+    if type(max_chords) is not int:
+        raise InvalidArgumentError(f"max_chords must be an int, got {max_chords!r}")
     if max_chords < 0:
         raise InvalidArgumentError("max_chords must be nonnegative")
     witnesses = []

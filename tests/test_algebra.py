@@ -28,6 +28,8 @@ from chordcalc.diagrams import (
     FramedChordDiagram,
     InvalidArgumentError,
     InvalidDiagramError,
+    _canon_double,
+    _canon_framed,
     enumerate_diagrams,
     from_key,
 )
@@ -115,6 +117,24 @@ def test_generators_reject_negative_chord_counts():
         generate_4T("framed", -3)
     with pytest.raises(ValueError, match="chord count must be nonnegative"):
         generate_2T_pairs("dlinear", -1)
+
+
+@pytest.mark.parametrize("n", [2.0, 3.0, True, "2"])
+def test_a_degree_that_is_not_an_int_is_refused_whatever_is_cached(n):
+    # 2.0 and True equal the ints 2 and 1 as cache keys: they are refused
+    # cold, and again after the int's keys and generators were built
+    message = f"^chord count must be an int, got {n!r}$"
+    enumerate_diagrams.cache_clear()
+    for _ in range(2):
+        with pytest.raises(InvalidArgumentError, match=message):
+            enumerate_diagrams("framed", n)
+        with pytest.raises(InvalidArgumentError, match=message):
+            generate_4T("double", n)
+        with pytest.raises(InvalidArgumentError, match=message):
+            generate_2T_pairs("dlinear", n)
+        assert enumerate_diagrams("framed", int(n))
+        generate_4T("double", int(n))
+        generate_2T_pairs("dlinear", int(n))
 
 
 def test_generators_homogeneous():
@@ -257,16 +277,10 @@ def test_generators_match_the_public_constructor_oracle(kind, n):
         assert generate_2T_pairs(kind, n) == tuple(sorted(pairs))
 
 
-# sha256 of one ``repr`` line per generator of ``generate_4T("double", 5)``
-# (base, moving chord, occurrence, target chord, placements, signs, 2T pairs
-# and the element's terms), recorded while the punctured two-circle keys
-# came from the head scan of tests/head_scan_pair.py; the oracle above stops
-# at n = 4
-DOUBLE_5_GENERATORS_SHA256 = "795f7c79f5130f59ed9e5db36db1284d7e1d7c639cbb3b9f6225e016cdce1090"
-
-
-def test_double_degree_five_generators_are_pinned():
-    gens = generate_4T("double", 5)
+def generator_digest(gens):
+    """sha256 of one ``repr`` line per generator: base, moving chord,
+    occurrence, target chord, placements, signs, 2T pairs and the element's
+    terms."""
     text = "".join(
         repr(
             (
@@ -283,8 +297,40 @@ def test_double_degree_five_generators_are_pinned():
         + "\n"
         for g in gens
     )
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# ``generator_digest(generate_4T("double", 5))``, recorded while the
+# punctured two-circle keys came from the head scan of tests/head_scan_pair.py;
+# the oracle above stops at n = 4
+DOUBLE_5_GENERATORS_SHA256 = "795f7c79f5130f59ed9e5db36db1284d7e1d7c639cbb3b9f6225e016cdce1090"
+
+# ``generator_digest(generate_4T("framed", 5))``, recorded while every
+# placement was canonicalized from its own word
+FRAMED_5_GENERATORS_SHA256 = "25b6f98f91b68ba5847d593400d9605813a68e0d642fea06f40e26aa8371c763"
+
+
+def test_double_degree_five_generators_are_pinned():
+    gens = generate_4T("double", 5)
     assert len(gens) == 1607
-    assert hashlib.sha256(text.encode()).hexdigest() == DOUBLE_5_GENERATORS_SHA256
+    assert generator_digest(gens) == DOUBLE_5_GENERATORS_SHA256
+
+
+def test_framed_degree_five_generators_are_pinned():
+    gens = generate_4T("framed", 5)
+    assert len(gens) == 15494
+    assert generator_digest(gens) == FRAMED_5_GENERATORS_SHA256
+
+
+def test_no_placement_is_canonicalized():
+    # every placement is read from the slot table of the degree's own keys,
+    # so a cold generation leaves no miss in the canonical-key caches
+    for kind in ("framed", "double"):
+        _canon_framed.cache_clear()
+        _canon_double.cache_clear()
+        assert generate_4T(kind, 4)
+        assert _canon_framed.cache_info().misses == 0
+        assert _canon_double.cache_info().misses == 0
 
 
 def list_copy_moves(kind, base):

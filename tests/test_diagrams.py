@@ -28,8 +28,11 @@ from chordcalc.diagrams import (
     _canon_double,
     _canon_framed,
     _codes,
+    _key_words,
     _least_circle_pair,
+    _least_framed_rotation,
     _matchings,
+    _numbered_codes,
     _SPELLED,
     closure,
     coproduct,
@@ -324,6 +327,25 @@ def test_framed_pruned_scan_matches_the_brute_force_scan():
         assert key == CanonicalKey("framed", brute_framed_payload(tokens)), tokens
 
 
+def test_a_punctured_framed_word_has_one_least_rotation():
+    # algebra._moves reads its slot table at offsets from the returned
+    # start: the word rotated there numbers to the least rotation, and no
+    # other start does, since the one lone code has to stay in place
+    def relabelled(word):
+        return _numbered_codes(word, {})
+
+    for n in range(1, 5):
+        for key in enumerate_diagrams("framed", n):
+            (codes,) = _key_words(key)
+            for p in range(len(codes)):
+                word = codes[:p] + codes[p + 1 :]
+                best, numbering, start = _least_framed_rotation(word)
+                rotated = word[start:] + word[:start]
+                assert tuple(2 * numbering[c] + (c & 1) for c in rotated) == best
+                least = [r for r in range(len(word)) if relabelled(word[r:] + word[:r]) == best]
+                assert least == [start], (word, least)
+
+
 def test_double_pruned_scan_matches_the_brute_force_scan():
     cases = []
     for n in range(6):
@@ -387,9 +409,17 @@ def psi_summands(count, seed):
 )
 def test_least_gap_starts_match_the_head_scan(cases):
     # algebra._moves numbers a slide's target chord by the returned
-    # numbering, so it must be the head scan's too, not only the key
+    # numbering, so it must be the head scan's too, not only the key; and
+    # it reads its slot table by the placement, so the words rotated and
+    # ordered as placed must number to the key under that numbering
     for w1, w2 in cases():
-        assert _least_circle_pair(w1, w2) == head_scan_pair(w1, w2), (w1, w2)
+        pair, numbering, placed = _least_circle_pair(w1, w2)
+        assert (pair, numbering) == head_scan_pair(w1, w2), (w1, w2)
+        rotated = [None, None]
+        for w, (i, start) in zip((w1, w2), placed):
+            assert 0 <= start < max(len(w), 1)
+            rotated[i] = tuple(numbering[lab] for lab in w[start:] + w[:start])
+        assert tuple(rotated) == pair, (w1, w2, placed)
 
 
 # --- linear canonicalization -------------------------------------------------

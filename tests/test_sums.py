@@ -342,3 +342,14 @@ def test_witness_quotient_split():
 def test_search_rejects_negative():
     with pytest.raises(ValueError):
         search_counterexample(-1)
+
+
+@pytest.mark.parametrize("max_chords", [2.0, True, "2"])
+def test_search_refuses_a_size_that_is_not_an_int(max_chords):
+    # refused alike before and after the int it equals has filled the
+    # enumeration cache
+    message = f"^max_chords must be an int, got {max_chords!r}$"
+    for _ in range(2):
+        with pytest.raises(InvalidArgumentError, match=message):
+            search_counterexample(max_chords)
+        search_counterexample(2)
