@@ -150,6 +150,15 @@ def _checked_framing(framing, labels):
     return framing
 
 
+def _check_size(name, value):
+    """``InvalidArgumentError`` unless ``value`` is an ``int`` (``bool``
+    excluded) and nonnegative; ``name`` is the size's name in the message."""
+    if type(value) is not int:
+        raise InvalidArgumentError(f"{name} must be an int, got {value!r}")
+    if value < 0:
+        raise InvalidArgumentError(f"{name} must be nonnegative")
+
+
 def _expect(cls, *diagrams):
     """``TypeError`` unless every one of ``diagrams`` is a ``cls``."""
     for d in diagrams:
@@ -590,10 +599,7 @@ def enumerate_diagrams(kind: str, n: int):
     """
     if kind not in KINDS:
         raise InvalidArgumentError(f"unknown kind {kind!r}")
-    if type(n) is not int:
-        raise InvalidArgumentError(f"chord count must be an int, got {n!r}")
-    if n < 0:
-        raise InvalidArgumentError("chord count must be nonnegative")
+    _check_size("chord count", n)
     size = 2 * n
     framings = list(itertools.product((0, 1), repeat=n))
     canon = _CANONICALIZERS[kind].__wrapped__

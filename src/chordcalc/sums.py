@@ -20,6 +20,7 @@ from .diagrams import (
     FramedLinearDiagram,
     InvalidArgumentError,
     _CANONICALIZERS,
+    _check_size,
     _codes,
     _expect,
     _key_words,
@@ -149,6 +150,27 @@ class SumWitness:
     w_values: tuple
 
 
+def _witness(k1, k2, outcomes):
+    """The witness of the pair ``(k1, k2)`` from its ``(cuts, sum key,
+    weight)`` outcomes in cut order, or None when one weight is seen."""
+    values = sorted({w for _, _, w in outcomes})
+    if len(values) < 2:
+        return None
+    cuts_a, sum_a, w_a = outcomes[0]
+    cuts_b, sum_b, w_b = next(o for o in outcomes if o[2] != w_a)
+    return SumWitness(
+        d1=k1,
+        d2=k2,
+        cuts_a=cuts_a,
+        cuts_b=cuts_b,
+        sum_a=sum_a,
+        sum_b=sum_b,
+        w_a=w_a,
+        w_b=w_b,
+        w_values=tuple(values),
+    )
+
+
 def search_counterexample(max_chords: int):
     """All diagram pairs (total chords <= ``max_chords``) whose connected
     sums disagree under the weight of the parity expansion.
@@ -160,49 +182,58 @@ def search_counterexample(max_chords: int):
     certifies that the two sums differ in the double-diagram quotient, since
     the weight descends to it; :func:`chordcalc.algebra.quotient_equal`
     confirms the inequality exactly.
+
+    Two symmetries of the sum spare most of the gluing, and leave the output
+    what the loop over every ordered pair and every cut pair returned.  The
+    free loop is a two-sided identity, so a pair containing it has one sum
+    at every cut and is never a witness: only operands with a chord are
+    glued.  And ``d2 #(a2, a1) d1`` is the circle of ``d1 #(a1, a2) d2``
+    read from another point, so both orders have one key: each unordered
+    pair is glued once, into a grid read by rows for one order and by
+    columns, cuts swapped, for the other.  Witnesses are tagged with
+    (total, chords of the first operand, the operands' enumeration indices)
+    and sorted on that tag, which is the order of the ordered loop.
     """
-    if type(max_chords) is not int:
-        raise InvalidArgumentError(f"max_chords must be an int, got {max_chords!r}")
-    if max_chords < 0:
-        raise InvalidArgumentError("max_chords must be nonnegative")
-    witnesses = []
+    _check_size("max_chords", max_chords)
+    tagged = []
     weights = {}  # sum key -> weight of its parity expansion
-    for total in range(max_chords + 1):
-        for n1 in range(total + 1):
+    for total in range(2, max_chords + 1):
+        for n1 in range(1, total // 2 + 1):
             n2 = total - n1
-            for k1 in enumerate_diagrams("framed", n1):
+            keys2 = enumerate_diagrams("framed", n2)
+            for i1, k1 in enumerate(enumerate_diagrams("framed", n1)):
                 (codes1,) = _key_words(k1)
-                cuts1 = [_cut(codes1, a1) for a1 in range(max(2 * n1, 1))]
-                for k2 in enumerate_diagrams("framed", n2):
+                cuts1 = [_cut(codes1, a1) for a1 in range(2 * n1)]
+                for i2 in range(i1 if n1 == n2 else 0, len(keys2)):
+                    k2 = keys2[i2]
                     (codes2,) = _key_words(k2)
-                    cuts2 = [_cut(codes2, a2) for a2 in range(max(2 * n2, 1))]
-                    outcomes = []
-                    for a1, cut1 in enumerate(cuts1):
-                        for a2, cut2 in enumerate(cuts2):
+                    cuts2 = [_cut(codes2, a2) for a2 in range(2 * n2)]
+                    grid = []  # grid[a1][a2]: (key, weight) of d1 #(a1, a2) d2
+                    for cut1 in cuts1:
+                        row = []
+                        for cut2 in cuts2:
                             key = _joined("framed", cut1, cut2)
                             w = weights.get(key)
                             if w is None:
                                 w = weights[key] = weight(psi_module(ModuleElement.single(key)))
-                            outcomes.append(((a1, a2), key, w))
-                    values = sorted({w for _, _, w in outcomes})
-                    if len(values) < 2:
+                            row.append((key, w))
+                        grid.append(row)
+                    by_rows = [
+                        ((a1, a2), *grid[a1][a2]) for a1 in range(2 * n1) for a2 in range(2 * n2)
+                    ]
+                    found = _witness(k1, k2, by_rows)
+                    if found:
+                        tagged.append(((total, n1, i1, i2), found))
+                    if n1 == n2 and i1 == i2:
                         continue
-                    cuts_a, sum_a, w_a = outcomes[0]
-                    cuts_b, sum_b, w_b = next(o for o in outcomes if o[2] != w_a)
-                    witnesses.append(
-                        SumWitness(
-                            d1=k1,
-                            d2=k2,
-                            cuts_a=cuts_a,
-                            cuts_b=cuts_b,
-                            sum_a=sum_a,
-                            sum_b=sum_b,
-                            w_a=w_a,
-                            w_b=w_b,
-                            w_values=tuple(values),
-                        )
-                    )
-    return tuple(witnesses)
+                    by_columns = [
+                        ((a2, a1), *grid[a1][a2]) for a2 in range(2 * n2) for a1 in range(2 * n1)
+                    ]
+                    found = _witness(k2, k1, by_columns)
+                    if found:
+                        tagged.append(((total, n2, i2, i1), found))
+    tagged.sort(key=lambda item: item[0])
+    return tuple(found for _, found in tagged)
 
 
 def witness_quotient_split(witness: SumWitness) -> bool:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import ModuleElement, generate_2T_pairs, generate_4T, quotient_equal
-from .diagrams import enumerate_diagrams
+from .diagrams import _check_size, enumerate_diagrams
 from .parity import _image_kind, parity_module, psi_module
 from .sums import _key_sum
 from .surgery import _beta_of_key, weight
@@ -84,6 +84,7 @@ def psi_relation_span(kind: str, n: int, images=None) -> SweepResult:
 def psi_mass(max_n: int) -> SweepResult:
     """The parity expansion of an n-chord framed diagram has total
     coefficient mass exactly 2^n."""
+    _check_size("max_n", max_n)
     failures = []
     checked = 0
     for n in range(max_n + 1):
@@ -98,6 +99,7 @@ def psi_mass(max_n: int) -> SweepResult:
 def sum_symmetry(max_total: int) -> SweepResult:
     """Weight of the parity expansion is symmetric in the two operands of a
     linear connected sum, for all pairs with at most ``max_total`` chords."""
+    _check_size("max_total", max_total)
     failures = []
     checked = 0
     for total in range(max_total + 1):
@@ -114,6 +116,7 @@ def sum_symmetry(max_total: int) -> SweepResult:
 
 def beta_additivity(max_each: int) -> SweepResult:
     """beta of a line-wise connected sum deficits the operand betas by 1 or 2."""
+    _check_size("max_each", max_each)
     pool = [key for n in range(max_each + 1) for key in enumerate_diagrams("dlinear", n)]
     failures = []
     checked = 0

@@ -1,7 +1,10 @@
 """Connected sums and the ill-definedness search."""
 
+import hashlib
+
 import pytest
 
+from chordcalc import verify
 from chordcalc.diagrams import (
     DoubleChordDiagram,
     DoubleLinearDiagram,
@@ -333,6 +336,21 @@ def test_search_matches_the_public_object_oracle(max_chords):
     assert repr(witnesses) == repr(expected)
 
 
+@pytest.mark.parametrize(
+    "max_chords, count, digest",
+    [
+        (4, 54, "0f3aab48204cb65a239cd4035e4d43d28060621ddb0a5acbf8080ac23c1b5a2e"),
+        (5, 638, "1c643b4e0e59fd60c001f53519db4f36007a10eec9587825378a3204107335f3"),
+    ],
+)
+def test_search_is_pinned_beyond_the_oracle(max_chords, count, digest):
+    # sha256 of the repr, recorded while every ordered pair was glued at
+    # every cut pair; CI checks 6 chords the same way
+    witnesses = search_counterexample(max_chords)
+    assert len(witnesses) == count
+    assert hashlib.sha256(repr(witnesses).encode()).hexdigest() == digest
+
+
 def test_witness_quotient_split():
     witnesses = search_counterexample(3)
     for w in witnesses:
@@ -353,3 +371,17 @@ def test_search_refuses_a_size_that_is_not_an_int(max_chords):
         with pytest.raises(InvalidArgumentError, match=message):
             search_counterexample(max_chords)
         search_counterexample(2)
+
+
+@pytest.mark.parametrize(
+    "sweep, name",
+    [("psi_mass", "max_n"), ("sum_symmetry", "max_total"), ("beta_additivity", "max_each")],
+)
+@pytest.mark.parametrize("size", [2.0, True, "2", -1])
+def test_sweeps_refuse_a_size_that_is_not_a_nonnegative_int(sweep, name, size):
+    if size == -1:
+        message = f"^{name} must be nonnegative$"
+    else:
+        message = f"^{name} must be an int, got {size!r}$"
+    with pytest.raises(InvalidArgumentError, match=message):
+        getattr(verify, sweep)(size)
