@@ -35,6 +35,7 @@ from .diagrams import (
     KINDS,
     CanonicalKey,
     InvalidArgumentError,
+    _check_size,
     _key_words,
     _least_circle_pair,
     _least_framed_rotation,
@@ -258,9 +259,11 @@ def _moves(kind, n):
     circle the signs ``(1, -1, -1, 1)`` tell ``b``'s two endpoints apart,
     and a rotation may exchange which comes first, so there the cyclic
     offset from the moving chord's remaining endpoint to ``b``'s first one
-    is part of the datum too.  A skipped slide repeats the signature and the
-    2T pairs of an earlier one, and the first slide of each relation is
-    always yielded, so what the callers build is unchanged.
+    is part of the datum too.  The datum is tested before the slide's
+    places are worked out (at framed n = 4, 851 of 5,616 tests pass).  A
+    skipped slide repeats the signature and the 2T pairs of an earlier one,
+    and the first slide of each relation is always yielded, so what the
+    callers build is unchanged.
 
     No placement is canonicalized.  A placement is a punctured diagram with
     the partner of its lone endpoint put back, so its key is the base key
@@ -322,19 +325,22 @@ def _moves(kind, n):
                 for b, b_ends in ends.items():
                     if b == a:
                         continue
+                    flip_far_side = framing.get(b) == 1
+                    # the numbering is keyed by b's code on one word
+                    datum = (payload, numbering[2 * b + framing[b] if one_word else b])
+                    if flip_far_side and kind == "framed":
+                        first = b_ends[0][1]
+                        if first > xp:
+                            first -= 1
+                        datum += ((first - rest) % len(stripped[0]),)
+                    if datum in seen:
+                        continue
+                    seen.add(datum)
                     slots = []
                     for wi, p in b_ends:
                         if wi == xwi and p > xp:
                             p -= 1
                         slots += ((wi, p), (wi, p + 1))
-                    flip_far_side = framing.get(b) == 1
-                    # the numbering is keyed by b's code on one word
-                    datum = (payload, numbering[2 * b + framing[b] if one_word else b])
-                    if flip_far_side and kind == "framed":
-                        datum += ((slots[0][1] - rest) % len(stripped[0]),)
-                    if datum in seen:
-                        continue
-                    seen.add(datum)
                     if flip_far_side and far is None:
                         flipped = (tuple([t ^ 1 if t >> 1 == a else t for t in stripped[0]]),)
                         flipped_payload, _, flipped_placed = punctured(flipped)
@@ -380,8 +386,10 @@ def generate_4T(kind, n, include_zero=True):
     an ``n`` that is not an ``int`` or ``n < 0`` raises
     ``InvalidArgumentError``.
 
-    Each call builds the generators afresh and keeps none of them:
-    ``_integer_lattice``, which is cached, reads their rows once.
+    Each call builds the generators afresh and keeps none of them.  The
+    lattice behind ``quotient_equal`` does not read them: ``_integer_lattice``
+    sums the signed placements of the same ``_moves`` slides into rows
+    directly, with no generator, element or signature built.
     """
     if kind not in KINDS:
         raise InvalidArgumentError(f"unknown kind {kind!r}")
@@ -435,17 +443,27 @@ def _integer_lattice(kind, n):
     of the degree-n 4T generators: a map from pivot column to sparse
     ``{column: coeff}`` row, in increasing pivot order.
 
-    The rows come straight from the generator elements, deduplicated.  The
-    HNF rows are the generator rows times a unimodular matrix, so they span
-    the same Q-space as the generators too: one basis serves both the Z and
-    the Q membership question.
+    The rows come straight from the slides of ``_moves``: each adds its four
+    signed placements into one row, drops the zero coefficients, and an empty
+    row is skipped.  No ``RelationGenerator`` or ``ModuleElement`` is built.
+    ``generate_4T`` only leaves out a slide whose four signed placements
+    repeat an earlier one's, and that slide gives the same row, so the rows
+    are those of the nonzero generators.  The HNF rows are the generator
+    rows times a unimodular matrix, so they span the same Q-space as the
+    generators too: one basis serves both the Z and the Q membership
+    question.
     """
     index = {key: i for i, key in enumerate(enumerate_diagrams(kind, n))}
     # each row is sorted by column, so that equal rows deduplicate
-    rows = {
-        tuple(sorted((index[key], coeff) for key, coeff in gen.element._terms.items()))
-        for gen in generate_4T(kind, n, include_zero=False)
-    }
+    rows = set()
+    for *_slide, placements, signs, _pairs in _moves(kind, n):
+        row = {}
+        for key, sign in zip(placements, signs):
+            column = index[key]
+            row[column] = row.get(column, 0) + sign
+        row = tuple(sorted([(c, x) for c, x in row.items() if x]))
+        if row:
+            rows.add(row)
     return index, _sparse_hnf(dict(row) for row in sorted(rows))
 
 
@@ -463,10 +481,14 @@ def quotient_equal(u: ModuleElement, v: ModuleElement, rational=False, max_degre
     the product of the HNF pivots, which answers for the Q-span: a coarser
     diagnostic, different on torsion (dlinear 5).  Degrees above the ceiling
     raise :class:`UndecidedError` rather than ever returning a wrong boolean,
-    and a key that is not canonical raises ``InvalidArgumentError``.
+    and a key that is not canonical raises ``InvalidArgumentError``.  A
+    ``max_degree`` other than ``None`` that is not an ``int`` (``bool``
+    excluded) or is negative raises ``InvalidArgumentError``.
     """
     if not isinstance(u, ModuleElement) or not isinstance(v, ModuleElement):
         raise TypeError("quotient_equal compares ModuleElements")
+    if max_degree is not None:
+        _check_size("max_degree", max_degree)
     if u.kind != v.kind:
         raise KindMismatchError(f"cannot compare {u.kind} and {v.kind} elements")
     difference = u - v

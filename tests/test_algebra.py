@@ -7,6 +7,7 @@ from math import gcd, prod
 
 import pytest
 
+from chordcalc import algebra
 from chordcalc.algebra import (
     KindMismatchError,
     ModuleElement,
@@ -618,6 +619,39 @@ def test_lattice_shapes_are_pinned(kind, n):
     assert (len(index), len(basis), big) == LATTICE_SHAPES[kind, n]
 
 
+def test_the_lattice_is_built_with_no_generator_object(monkeypatch):
+    # the rows come straight from the slides of _moves: a cold build runs
+    # neither generate_4T nor the RelationGenerator constructor
+    def refuse(*args, **kwargs):
+        raise AssertionError("the lattice build made a generator")
+
+    monkeypatch.setattr(algebra, "generate_4T", refuse)
+    monkeypatch.setattr(algebra, "RelationGenerator", refuse)
+    _integer_lattice.cache_clear()
+    for kind in ("framed", "double"):
+        index, basis = _integer_lattice(kind, 4)
+        big = [(p, row[p]) for p, row in basis.items() if row[p] > 1]
+        assert (len(index), len(basis), big) == LATTICE_SHAPES[kind, 4]
+
+
+def lattice_digest(basis):
+    """sha256 of the ``repr`` of a basis as ``(pivot, sorted row)`` pairs."""
+    text = repr([(p, sorted(row.items())) for p, row in basis.items()])
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# ``lattice_digest`` of the framed 5 and dlinear 5 bases, past the reach of
+# the dense oracle, recorded while the rows were read from generate_4T
+FRAMED_5_LATTICE_SHA256 = "f400a41e6551db82bfca92630458834f8436adb74b270718dedf542b30cc67db"
+DLINEAR_5_LATTICE_SHA256 = "f314e821f1f19c6641ca357ad048d7f6735b60215419a1e3f297e3def7559f65"
+
+
+def test_framed_degree_five_lattice_is_pinned():
+    index, basis = _integer_lattice("framed", 5)
+    assert (len(index), len(basis)) == (3112, 3039)
+    assert lattice_digest(basis) == FRAMED_5_LATTICE_SHA256
+
+
 def test_rational_membership_scales_past_a_pivot_above_one():
     # framed n <= 4, double n <= 4, linear n <= 3 and dlinear n <= 3 have only
     # pivots of 1 (see LATTICE_SHAPES); these hand-made sparse bases reach a
@@ -731,6 +765,11 @@ def test_the_dlinear_degree_five_torsion_element():
     assert prod(row[c] for c, row in basis.items()) == 2**10
 
 
+def test_dlinear_degree_five_lattice_is_pinned():
+    index, basis = _integer_lattice("dlinear", 5)
+    assert lattice_digest(basis) == DLINEAR_5_LATTICE_SHA256
+
+
 def test_quotient_kind_mismatch():
     with pytest.raises(KindMismatchError):
         quotient_equal(
@@ -763,6 +802,15 @@ def test_quotient_names_a_key_missing_from_its_degree(payload, error, message):
         quotient_equal(single(CanonicalKey("double", payload)), ModuleElement.zero("double"))
     assert type(raised.value) is error
     assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("max_degree", ["5", 2.5, True, -1])
+def test_quotient_refuses_a_max_degree_that_is_not_a_nonnegative_int(max_degree):
+    u = single(dkey("A A", ""))
+    with pytest.raises(InvalidArgumentError, match="max_degree must be"):
+        quotient_equal(u, single(dkey("A", "A")), max_degree=max_degree)
+    with pytest.raises(InvalidArgumentError, match="max_degree must be"):
+        quotient_equal(u, u, max_degree=max_degree)
 
 
 def test_quotient_degree_ceiling():
