@@ -200,9 +200,18 @@ class RelationGenerator:
     slide_pairs: tuple
 
 
-def _ordered(k1, k2):
-    """Two keys of one kind in key order, compared by payload."""
-    return (k1, k2) if k1.payload <= k2.payload else (k2, k1)
+#: The signs of a slide's four placements and the index pairs of its two 2T
+#: slides, by the slide's flip bit (see ``_moves``)
+_SLIDES = (
+    ((1, -1, 1, -1), ((0, 3), (1, 2))),
+    ((1, -1, -1, 1), ((0, 2), (1, 3))),
+)
+
+
+def _slide_pairs(placements, flip):
+    """The two 2T slides of a slide's placements, each pair in key order."""
+    pairs = [(placements[i], placements[j]) for i, j in _SLIDES[flip][1]]
+    return tuple([(p, q) if p.payload <= q.payload else (q, p) for p, q in pairs])
 
 
 def _punctured(kind, words):
@@ -246,24 +255,26 @@ def _slot_counts(kind, payload):
 
 
 def _moves(kind, n):
-    """Yield a ``(base, a, occ, b, placements, signs, pairs)`` slide datum of
-    every degree-``n`` base key, moving endpoint and target chord, except the
-    slides whose relation an earlier datum already derived.
+    """Yield a ``(base, a, occ, b, placements, flip)`` slide datum of every
+    degree-``n`` base key, moving endpoint and target chord, except the
+    slides whose relation an earlier datum already derived.  ``flip`` is 1
+    when ``b`` has framing 1, so that the last two placements flip the
+    moving chord, else 0; ``_SLIDES`` gives the signs and 2T pairs by it.
 
     A 4T relation is fixed by the punctured diagram, the base with the moving
     endpoint removed, and by the target chord ``b`` (Bar-Natan, Topology 34,
     1995): an isomorphism of punctured diagrams that carries ``b`` to ``b'``
     carries the four placements of one slide to those of the other.  So a
     slide is skipped when the canonical punctured payload and the canonical
-    number of ``b`` were seen before in this degree.  For a framing-1 target on a
-    circle the signs ``(1, -1, -1, 1)`` tell ``b``'s two endpoints apart,
-    and a rotation may exchange which comes first, so there the cyclic
-    offset from the moving chord's remaining endpoint to ``b``'s first one
-    is part of the datum too.  The datum is tested before the slide's
-    places are worked out (at framed n = 4, 851 of 5,616 tests pass).  A
-    skipped slide repeats the signature and the 2T pairs of an earlier one,
-    and the first slide of each relation is always yielded, so what the
-    callers build is unchanged.
+    number of ``b`` were seen before in this degree.  When ``flip`` is 1 the
+    signs ``(1, -1, -1, 1)`` tell ``b``'s two endpoints apart, and a
+    rotation may exchange which comes first, so there the offset of ``b``'s
+    first endpoint from the start of the punctured word's canonical rotation
+    is part of the datum too (on a line, a function of ``b``'s number).  The
+    datum is tested before the slide's places are worked out (at framed
+    n = 4, 851 of 5,616 tests pass).  A skipped slide repeats the signature
+    and the 2T pairs of an earlier one, and the first slide of each relation
+    is always yielded, so what the callers build is unchanged.
 
     No placement is canonicalized.  A placement is a punctured diagram with
     the partner of its lone endpoint put back, so its key is the base key
@@ -272,14 +283,13 @@ def _moves(kind, n):
     every endpoint and records the base in a slot table: per punctured
     payload, per word, at the endpoint's offset from the start of the
     word's canonical rotation (see ``_slot_counts``).  The second pass
-    reads the four placements there, at the offsets of the places next to
-    ``b``'s endpoints.  A far-side slide across a framing-1 chord flips the
-    framing bit of both codes of the moving chord, so it reads the table
-    under the flipped punctured word's own payload and rotation.  Each
-    distinct punctured word is canonicalized once per call, in a dict that
-    the call drops.
+    reads the two placements next to each of ``b``'s endpoints there.  A
+    far-side slide across a framing-1 chord flips the framing bit of both
+    codes of the moving chord, so it reads the table under the flipped
+    punctured word's own payload and rotation.  Each distinct punctured
+    word is canonicalized once per call, in a dict that the call drops.
     """
-    one_word = kind in ("framed", "linear")
+    shift = int(kind in ("framed", "linear"))  # a one-word label is a code
     bases = enumerate_diagrams(kind, n)
     canonical = {}  # punctured words -> _punctured of them
 
@@ -304,62 +314,43 @@ def _moves(kind, n):
                 row[(p - start) % len(row)] = base
     seen = set()
     for base in bases:
-        # a canonical key numbers its chords by first occurrence, so the
-        # labels of its words are already the chord numbers
+        # a canonical key numbers its chords by first occurrence, so each label
+        # is a chord number, or on one word its code 2 * number + framing
         words = _key_words(base)
-        framing = dict(base.payload) if one_word else {}
-        ends = {}  # chord number -> its two (word, position) endpoints, in order
+        ends = {}  # label -> its two (word, position) endpoints, in order
         for wi, word in enumerate(words):
             for p, lab in enumerate(word):
-                ends.setdefault(lab >> 1 if one_word else lab, []).append((wi, p))
+                ends.setdefault(lab, []).append((wi, p))
         for a, a_ends in ends.items():
             for occ, (xwi, xp) in enumerate(a_ends):
                 word = words[xwi]
                 stripped = words[:xwi] + (word[:xp] + word[xp + 1 :],) + words[xwi + 1 :]
                 payload, numbering, placed = punctured(stripped)
                 near = (table[payload], placed)
-                if kind == "framed":
-                    # where the other endpoint of a is left in the stripped word
-                    rest = a_ends[1][1] - 1 if occ == 0 else a_ends[0][1]
                 far = None  # the flipped punctured word's slot table and placement
                 for b, b_ends in ends.items():
                     if b == a:
                         continue
-                    flip_far_side = framing.get(b) == 1
-                    # the numbering is keyed by b's code on one word
-                    datum = (payload, numbering[2 * b + framing[b] if one_word else b])
-                    if flip_far_side and kind == "framed":
+                    flip = b & shift
+                    datum = (payload, numbering[b])
+                    if flip:
                         first = b_ends[0][1]
-                        if first > xp:
-                            first -= 1
-                        datum += ((first - rest) % len(stripped[0]),)
+                        datum += ((first - (first > xp) - placed[0][1]) % len(stripped[0]),)
                     if datum in seen:
                         continue
                     seen.add(datum)
-                    slots = []
-                    for wi, p in b_ends:
-                        if wi == xwi and p > xp:
-                            p -= 1
-                        slots += ((wi, p), (wi, p + 1))
-                    if flip_far_side and far is None:
-                        flipped = (tuple([t ^ 1 if t >> 1 == a else t for t in stripped[0]]),)
+                    if flip and far is None:
+                        flipped = (tuple([t ^ 1 if t == a else t for t in stripped[0]]),)
                         flipped_payload, _, flipped_placed = punctured(flipped)
                         far = (table[flipped_payload], flipped_placed)
-                    sides = (near, near, far, far) if flip_far_side else (near,) * 4
                     placements = []
-                    for (wi, s), (rows, placed_at) in zip(slots, sides):
+                    for (wi, p), (rows, placed_at) in zip(b_ends, (near, far if flip else near)):
+                        if wi == xwi and p > xp:
+                            p -= 1
                         i, start = placed_at[wi]
                         row = rows[i]
-                        placements.append(row[(s - start) % len(row)])
-                    placements = tuple(placements)
-                    p0, p1, p2, p3 = placements
-                    if flip_far_side:
-                        signs = (1, -1, -1, 1)
-                        pairs = (_ordered(p0, p2), _ordered(p1, p3))
-                    else:
-                        signs = (1, -1, 1, -1)
-                        pairs = (_ordered(p0, p3), _ordered(p1, p2))
-                    yield base, a, occ, b, placements, signs, pairs
+                        placements += (row[(p - start) % len(row)], row[(p + 1 - start) % len(row)])
+                    yield base, a >> shift, occ, b >> shift, tuple(placements), flip
 
 
 def generate_4T(kind, n, include_zero=True):
@@ -368,22 +359,18 @@ def generate_4T(kind, n, include_zero=True):
 
     Every ordered choice of a base diagram, a moving endpoint of one chord,
     and a distinct target chord contributes one generator; degenerate
-    configurations are kept.  The choices are taken in order of base key,
-    and each generator records the first choice that derives it.  A choice
-    whose punctured diagram (the base without the moving endpoint) and
-    target chord match an earlier choice's up to isomorphism is skipped
-    before its placements are looked up: it derives the same relation
-    again (see ``_moves``), so the result is the same as without the skip.
-    At framed n = 4 that leaves 851 of 5,616 choices to build.  No placement
-    is canonicalized: each is read from a slot table that punctures every
-    degree-``n`` key at every endpoint.  Cold, one process each,
-    ``generate_4T("framed", 5)`` takes 1.05-1.06 s and ``("double", 6)``
-    2.1-2.3 s, against 1.8-1.9 s and 3.2 s when every placement was
-    canonicalized from its own word (three alternating runs each, a shared
-    2-vCPU VM, Python 3.11.7).  Generators whose four terms cancel to the
-    zero element are included unless ``include_zero`` is false.  ``n`` of
-    0 or 1 yields nothing (a relation needs two chords); an unknown kind,
-    an ``n`` that is not an ``int`` or ``n < 0`` raises
+    configurations are kept.  The choices are the slide records of
+    ``_moves``, taken in order of base key, and each generator records the
+    first that derives it, with the signs and the 2T pairs that the
+    record's flip bit picks from ``_SLIDES``.  A choice that derives the
+    relation of an earlier one again is skipped before its placements are
+    looked up (see ``_moves``; at framed n = 4, 851 of 5,616 choices are
+    built), so the result is the same as without the skip.  No placement is
+    canonicalized: each is read from a slot table that punctures every
+    degree-``n`` key at every endpoint.  Generators whose four terms cancel
+    to the zero element are included unless ``include_zero`` is false.
+    ``n`` of 0 or 1 yields nothing (a relation needs two chords); an
+    unknown kind, an ``n`` that is not an ``int`` or ``n < 0`` raises
     ``InvalidArgumentError``.
 
     Each call builds the generators afresh and keeps none of them.  The
@@ -395,7 +382,8 @@ def generate_4T(kind, n, include_zero=True):
         raise InvalidArgumentError(f"unknown kind {kind!r}")
     generators = []
     seen = set()
-    for base, a, occ, b, placements, signs, pairs in _moves(kind, n):
+    for base, a, occ, b, placements, flip in _moves(kind, n):
+        signs = _SLIDES[flip][0]
         # every key here has the same kind, so payloads order them as keys do
         signature = tuple(sorted([(p.payload, s) for p, s in zip(placements, signs)]))
         if signature in seen:
@@ -412,7 +400,7 @@ def generate_4T(kind, n, include_zero=True):
                     target_chord=b,
                     placements=placements,
                     signs=signs,
-                    slide_pairs=pairs,
+                    slide_pairs=_slide_pairs(placements, flip),
                 )
             )
     return tuple(generators)
@@ -428,8 +416,8 @@ def generate_2T_pairs(kind, n):
     if kind not in ("double", "dlinear"):
         raise InvalidArgumentError("2T pairs are generated for the double and dlinear kinds")
     pairs = set()
-    for *_slide, move_pairs in _moves(kind, n):
-        pairs.update(move_pairs)
+    for *_slide, placements, flip in _moves(kind, n):
+        pairs.update(_slide_pairs(placements, flip))
     return tuple(sorted(pairs))
 
 
@@ -443,9 +431,10 @@ def _integer_lattice(kind, n):
     of the degree-n 4T generators: a map from pivot column to sparse
     ``{column: coeff}`` row, in increasing pivot order.
 
-    The rows come straight from the slides of ``_moves``: each adds its four
-    signed placements into one row, drops the zero coefficients, and an empty
-    row is skipped.  No ``RelationGenerator`` or ``ModuleElement`` is built.
+    The rows come straight from the slide records of ``_moves``: each adds
+    its four placements, signed by ``_SLIDES`` for its flip bit, into one
+    row, drops the zero coefficients, and an empty row is skipped; it reads
+    no 2T pair.  No ``RelationGenerator`` or ``ModuleElement`` is built.
     ``generate_4T`` only leaves out a slide whose four signed placements
     repeat an earlier one's, and that slide gives the same row, so the rows
     are those of the nonzero generators.  The HNF rows are the generator
@@ -456,9 +445,9 @@ def _integer_lattice(kind, n):
     index = {key: i for i, key in enumerate(enumerate_diagrams(kind, n))}
     # each row is sorted by column, so that equal rows deduplicate
     rows = set()
-    for *_slide, placements, signs, _pairs in _moves(kind, n):
+    for *_slide, placements, flip in _moves(kind, n):
         row = {}
-        for key, sign in zip(placements, signs):
+        for key, sign in zip(placements, _SLIDES[flip][0]):
             column = index[key]
             row[column] = row.get(column, 0) + sign
         row = tuple(sorted([(c, x) for c, x in row.items() if x]))

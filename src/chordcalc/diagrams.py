@@ -677,8 +677,12 @@ def coproduct(d: FramedChordDiagram) -> dict:
 
 
 def restrict(d: FramedChordDiagram, subset) -> FramedChordDiagram:
-    """The sub-diagram on a subset of chords; other endpoints are deleted."""
+    """The sub-diagram on a subset of chords; other endpoints are deleted.
+    A chord of ``subset`` that ``d`` lacks raises ``InvalidArgumentError``."""
     subset = set(subset)
+    absent = sorted(str(lab) for lab in subset if lab not in d.framing)
+    if absent:
+        raise InvalidArgumentError("no such chords to restrict to: " + ", ".join(absent))
     word = tuple(lab for lab in d.word if lab in subset)
     framing = {lab: d.framing[lab] for lab in subset}
     return FramedChordDiagram(word, framing)

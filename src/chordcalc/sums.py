@@ -49,7 +49,7 @@ class CutPoint:
 
 def _check_arc(d, arc):
     limit = max(2 * d.n, 1)
-    if not isinstance(arc, int) or not 0 <= arc < limit:
+    if type(arc) is not int or not 0 <= arc < limit:  # bool excluded
         raise InvalidArgumentError(f"arc index {arc!r} out of range for a {d.n}-chord diagram")
     return arc
 

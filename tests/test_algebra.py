@@ -9,12 +9,14 @@ import pytest
 
 from chordcalc import algebra
 from chordcalc.algebra import (
+    _SLIDES,
     KindMismatchError,
     ModuleElement,
     RelationGenerator,
     UndecidedError,
     _integer_lattice,
     _moves,
+    _slide_pairs,
     _vectorize,
     combine,
     generate_2T_pairs,
@@ -399,7 +401,8 @@ def test_moves_match_the_list_copying_oracle(kind, n):
             signatures.add(tuple(sorted(zip(placements, signs))))
             pairs.update(slide_pairs)
     yielded, yielded_signatures, yielded_pairs = set(), set(), set()
-    for base, a, occ, b, placements, signs, slide_pairs in _moves(kind, n):
+    for base, a, occ, b, placements, flip in _moves(kind, n):
+        signs, slide_pairs = _SLIDES[flip][0], _slide_pairs(placements, flip)
         assert (base, a, occ, b) not in yielded
         yielded.add((base, a, occ, b))
         assert (placements, signs, slide_pairs) == expected[base, a, occ, b]
@@ -407,6 +410,23 @@ def test_moves_match_the_list_copying_oracle(kind, n):
         yielded_pairs.update(slide_pairs)
     assert yielded_signatures == signatures
     assert yielded_pairs == pairs
+
+
+# slides ``_moves`` yields per degree: a weaker skip of repeated relations
+# leaves every output the same and shows only here
+SLIDE_COUNTS = {
+    ("framed", 4): 851,
+    ("double", 4): 171,
+    ("linear", 4): 5040,
+    ("dlinear", 4): 2520,
+    ("framed", 5): 15504,
+    ("double", 5): 1636,
+}
+
+
+@pytest.mark.parametrize("kind, n", sorted(SLIDE_COUNTS))
+def test_slide_counts_are_pinned(kind, n):
+    assert sum(1 for _ in _moves(kind, n)) == SLIDE_COUNTS[kind, n]
 
 
 # --- 2T pairs ---------------------------------------------------------------------
@@ -450,6 +470,21 @@ def test_2t_pairs_worked_example():
 
 def test_2t_pairs_empty_below_two():
     assert generate_2T_pairs("double", 1) == ()
+
+
+# (count, sha256 of the repr) of ``generate_2T_pairs``, past the oracle's
+# degrees, recorded while ``_moves`` yielded each slide's signs and pairs
+TWO_T_PAIRS = {
+    ("double", 5): (2074, "a8ecff6bdb9964f567d57506715960dc817a96b9c008bb98180254018013c562"),
+    ("dlinear", 4): (3777, "bd02af9c60bf0180943b624ba14b440a346181118f979f16ff6b4b218d99cbce"),
+}
+
+
+@pytest.mark.parametrize("kind, n", sorted(TWO_T_PAIRS))
+def test_2t_pairs_are_pinned(kind, n):
+    pairs = generate_2T_pairs(kind, n)
+    digest = hashlib.sha256(repr(pairs).encode()).hexdigest()
+    assert (len(pairs), digest) == TWO_T_PAIRS[kind, n]
 
 
 # --- quotient equality ----------------------------------------------------------

@@ -865,3 +865,10 @@ def test_restrict():
     sub = restrict(d, {"B"})
     assert sub.word == ("B", "B")
     assert sub.framing == {"B": 1}
+
+
+def test_restrict_to_an_absent_chord_is_refused():
+    # this used to be a bare KeyError from the framing lookup
+    d = fcd("A B A B", {"A": 0, "B": 1})
+    with pytest.raises(InvalidArgumentError, match="^no such chords to restrict to: Y, Z$"):
+        restrict(d, {"A", "Z", "Y"})

@@ -81,6 +81,20 @@ def test_cut_point_validation():
     CutPoint(FREE_LOOP, 0)
 
 
+@pytest.mark.parametrize("arc", [True, False])
+def test_a_bool_arc_is_refused(arc):
+    # these used to be taken as the arcs 1 and 0, unlike every size check
+    d = fcd("A B A B", {"A": 0, "B": 1})
+    for call in (
+        lambda: CutPoint(d, arc),
+        lambda: cut_open(d, arc),
+        lambda: connected_sum_framed(d, arc, d, 0),
+        lambda: connected_sum_framed(d, 0, d, arc),
+    ):
+        with pytest.raises(InvalidArgumentError, match=f"^arc index {arc} out of range"):
+            call()
+
+
 def test_cut_point_objects_accepted():
     d1 = fcd("A A", {"A": 1})
     d2 = fcd("B B", {"B": 0})
