@@ -27,7 +27,6 @@ the calibration evidence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
 
@@ -41,6 +40,7 @@ from .diagrams import (
     _least_framed_rotation,
     _numbered,
     _numbered_codes,
+    _Record,
     enumerate_diagrams,
 )
 from .intlinalg import _reduce, _sparse_hnf
@@ -98,7 +98,7 @@ class ModuleElement:
 
     def items(self):
         # the keys of one element share a kind, so their payloads order them
-        # as the keys do, without the dataclass's generated comparisons
+        # as the keys do, compared as tuples without a call to a key method
         return tuple(sorted(self._terms.items(), key=lambda term: term[0].payload))
 
     def support(self):
@@ -177,8 +177,7 @@ def combine(alpha: int, u: ModuleElement, beta: int, v: ModuleElement) -> Module
 # relation generators
 
 
-@dataclass(frozen=True)
-class RelationGenerator:
+class RelationGenerator(_Record):
     """One 4T relation together with where it came from.
 
     ``placements`` holds the four canonical diagrams built by parking the

@@ -21,12 +21,10 @@ its traceback on stderr.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import re
 import sys
 
-from . import verify
 from .algebra import (
     KindMismatchError,
     ModuleElement,
@@ -312,6 +310,7 @@ def _cmd_enumerate(args):
 
 
 def _cmd_check_4t(args):
+    from . import verify  # the sweeps load only for this command
     kind, n = args.kind, args.degree
     lines = [f"kind: {kind}", f"degree: {n}"]
     if kind in ("double", "dlinear"):
@@ -351,6 +350,7 @@ def _cmd_find_counterexample(args):
 
 
 def _build_parser():
+    import argparse  # only the command line needs it, not importers of parse
     # usage and help at the width that COLUMNS=80 gives, whatever the
     # terminal's, so that the text of a usage error is the same everywhere
     parser_class = functools.partial(

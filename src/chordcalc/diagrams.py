@@ -20,8 +20,7 @@ Labels are arbitrary hashable values; canonicalization erases them.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 
 KINDS = ("framed", "double", "linear", "dlinear")
 
@@ -35,8 +34,60 @@ class InvalidArgumentError(ValueError):
     index out of range, or a diagram kind it is not defined on."""
 
 
-@dataclass(frozen=True, order=True)
-class CanonicalKey:
+class _Record:
+    """A read-only record of the fields its subclass annotates, in order,
+    built by position or keyword (a class-body value is a default) and
+    checked by ``__post_init__``.  It prints, compares and hashes as its
+    fields, equals only records of its class, and pickles as its fields,
+    rebuilt through the check.  Unlike a dataclass it imports nothing."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = cls.__match_args__ = names = tuple(cls.__dict__.get("__annotations__", ()))
+        slots = cls.__dict__.get("__slots__", ())
+        cls._defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__ and n not in slots}
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        given = dict(zip(names, args))
+        values = {**self._defaults, **given, **kwargs}
+        if len(args) > len(names) or given.keys() & kwargs or values.keys() != set(names):
+            raise TypeError(f"{type(self).__name__} takes each of {', '.join(names)} once")
+        for name in names:
+            object.__setattr__(self, name, values[name])
+        self.__post_init__()
+
+    def __post_init__(self):
+        """Check the fields; a record with no condition on them takes any."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self):
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __repr__(self):
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__qualname__}({fields})"
+
+
+@total_ordering
+class CanonicalKey(_Record):
     """Canonical form of a diagram; equal keys mean isomorphic diagrams.
 
     ``payload`` is the lexicographically minimal relabelled encoding: a tuple
@@ -54,7 +105,7 @@ class CanonicalKey:
     The library's own keys are valid by construction and skip the check
     (``_key``).
 
-    A key is a frozen dataclass of ``kind`` and ``payload``: it compares,
+    A key is a frozen record of ``kind`` and ``payload``: it compares,
     orders and prints as the pair of fields, and equals no tuple.  Its hash
     is computed on first use and kept in a third slot, since keys are looked
     up in dicts and caches many times and tuples do not keep theirs.
@@ -91,6 +142,18 @@ class CanonicalKey:
                 if type(num) is not int or num < 1:
                     raise ValueError(f"labels are numbered from 1, got {num!r}")
 
+    # the pair itself, not the record's field tuple: equal keys that are
+    # distinct objects meet in every memo dict
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.kind, self.payload) == (other.kind, other.payload)
+        return NotImplemented
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.kind, self.payload) < (other.kind, other.payload)
+        return NotImplemented
+
     def __hash__(self):
         try:
             return self._hash
@@ -98,11 +161,6 @@ class CanonicalKey:
             h = hash((self.kind, self.payload))
             object.__setattr__(self, "_hash", h)
             return h
-
-    def __reduce__(self):
-        # rebuilt from its fields, and checked: a stored hash of a str is per
-        # process, and pickled data comes from outside
-        return CanonicalKey, (self.kind, self.payload)
 
     @property
     def n(self) -> int:

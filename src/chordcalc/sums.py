@@ -10,8 +10,6 @@ quotient decision confirms every weight disagreement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebra import ModuleElement, quotient_equal
 from .diagrams import (
     CanonicalKey,
@@ -24,6 +22,7 @@ from .diagrams import (
     _codes,
     _expect,
     _key_words,
+    _Record,
     enumerate_diagrams,
     from_key,
 )
@@ -31,8 +30,7 @@ from .parity import psi_module
 from .surgery import weight
 
 
-@dataclass(frozen=True, eq=False)
-class CutPoint:
+class CutPoint(_Record):
     """An arc on a stored representative: the arc following endpoint ``arc``.
 
     Arc indices run over ``0 .. 2n-1``; the empty diagram has the single cut
@@ -43,13 +41,18 @@ class CutPoint:
     diagram: FramedChordDiagram
     arc: int
 
+    # equal only to itself, as its diagram is
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
     def __post_init__(self):
         _check_arc(self.diagram, self.arc)
 
 
 def _check_arc(d, arc):
-    limit = max(2 * d.n, 1)
-    if type(arc) is not int or not 0 <= arc < limit:  # bool excluded
+    if type(arc) is not int:  # bool excluded
+        raise InvalidArgumentError(f"arc index must be an int, got {arc!r}")
+    if not 0 <= arc < max(2 * d.n, 1):
         raise InvalidArgumentError(f"arc index {arc!r} out of range for a {d.n}-chord diagram")
     return arc
 
@@ -130,8 +133,7 @@ def connected_sum_dlinear(h1, h2) -> DoubleLinearDiagram:
     return from_key(_key_sum(h1.key(), h2.key()))
 
 
-@dataclass(frozen=True)
-class SumWitness:
+class SumWitness(_Record):
     """Two cut choices for one diagram pair whose sums split apart.
 
     ``w_a`` and ``w_b`` are the surgery weights of the parity expansions of

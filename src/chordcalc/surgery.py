@@ -17,11 +17,10 @@ glues ``in(p) ~ in(q)`` and ``out(p) ~ out(q)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .algebra import KindMismatchError, ModuleElement
-from .diagrams import FramedChordDiagram, _expect, _TwoWordDiagram
+from .diagrams import FramedChordDiagram, _expect, _Record, _TwoWordDiagram
 
 
 class _UnionFind:
@@ -44,8 +43,7 @@ class _UnionFind:
         return sum(1 for i, p in enumerate(self.parent) if self.find(i) == i)
 
 
-@dataclass(frozen=True)
-class SmoothingGraph:
+class SmoothingGraph(_Record):
     """The node-pairing structure produced by surgery.
 
     Endpoint ``e`` (counted across word 1 then word 2) contributes nodes

@@ -8,17 +8,16 @@ command and the acceptance test suite both run these.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebra import ModuleElement, generate_2T_pairs, generate_4T, quotient_equal
-from .diagrams import _check_size, enumerate_diagrams
+from .diagrams import _check_size, _Record, enumerate_diagrams
 from .parity import _image_kind, parity_module, psi_module
 from .sums import _key_sum
 from .surgery import _beta_of_key, weight
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(_Record):
+    """What a sweep checked, how many objects, and the failures it found."""
+
     description: str
     checked: int
     failures: tuple

@@ -1,6 +1,7 @@
 """Connected sums and the ill-definedness search."""
 
 import hashlib
+import re
 
 import pytest
 
@@ -81,9 +82,10 @@ def test_cut_point_validation():
     CutPoint(FREE_LOOP, 0)
 
 
-@pytest.mark.parametrize("arc", [True, False])
+@pytest.mark.parametrize("arc", [True, False, 1.0, "1"])
 def test_a_bool_arc_is_refused(arc):
-    # these used to be taken as the arcs 1 and 0, unlike every size check
+    # bools used to be taken as the arcs 1 and 0, unlike every size check;
+    # a non-int arc is refused as one, not as out of range
     d = fcd("A B A B", {"A": 0, "B": 1})
     for call in (
         lambda: CutPoint(d, arc),
@@ -91,7 +93,8 @@ def test_a_bool_arc_is_refused(arc):
         lambda: connected_sum_framed(d, arc, d, 0),
         lambda: connected_sum_framed(d, 0, d, arc),
     ):
-        with pytest.raises(InvalidArgumentError, match=f"^arc index {arc} out of range"):
+        message = f"arc index must be an int, got {arc!r}"
+        with pytest.raises(InvalidArgumentError, match=f"^{re.escape(message)}$"):
             call()
 
 
