@@ -43,7 +43,7 @@ from .diagrams import (
     _Record,
     enumerate_diagrams,
 )
-from .intlinalg import _reduce, _sparse_hnf
+from .intlinalg import _add_multiple, _reduce, _sparse_hnf
 
 #: Largest degree at which quotient equality is decided by default.  Above
 #: it the decision raises :class:`UndecidedError` instead of guessing.
@@ -62,7 +62,9 @@ class ModuleElement:
     """A finite integer-linear combination of canonical diagrams of one kind.
 
     Zero coefficients are never stored; iteration order is sorted by key, so
-    every derived output is deterministic.
+    every derived output is deterministic.  The constructor checks each term,
+    as unpickling does through it; arithmetic, parsing and the parity map
+    build their results from the library's own keys unchecked (``_element``).
     """
 
     __slots__ = ("kind", "_terms")
@@ -87,6 +89,9 @@ class ModuleElement:
                     del accumulated[key]
         self.kind = kind
         self._terms = accumulated
+
+    def __reduce__(self):
+        return ModuleElement, (self.kind, self.items())
 
     @classmethod
     def zero(cls, kind) -> "ModuleElement":
@@ -125,17 +130,19 @@ class ModuleElement:
         return tuple(sorted({key.n for key in self._terms}))
 
     def homogeneous_part(self, n) -> "ModuleElement":
-        return ModuleElement(self.kind, [(k, c) for k, c in self._terms.items() if k.n == n])
+        return _element(self.kind, {k: c for k, c in self._terms.items() if k.n == n})
 
     def __add__(self, other):
         if not isinstance(other, ModuleElement):
             return NotImplemented
         if other.kind != self.kind:
             raise KindMismatchError(f"cannot add {self.kind} and {other.kind} elements")
-        return ModuleElement(self.kind, [*self._terms.items(), *other._terms.items()])
+        terms = dict(self._terms)
+        _add_multiple(terms, 1, other._terms)
+        return _element(self.kind, terms)
 
     def __neg__(self):
-        return ModuleElement(self.kind, {k: -c for k, c in self._terms.items()})
+        return _element(self.kind, {k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, ModuleElement):
@@ -145,7 +152,7 @@ class ModuleElement:
     def __mul__(self, scalar):
         if not isinstance(scalar, int):
             return NotImplemented
-        return ModuleElement(self.kind, {k: scalar * c for k, c in self._terms.items()})
+        return _element(self.kind, {k: scalar * c for k, c in self._terms.items() if scalar})
 
     __rmul__ = __mul__
 
@@ -164,6 +171,15 @@ class ModuleElement:
             return f"ModuleElement({self.kind!r}, 0)"
         body = " + ".join(f"{c}*[{k.payload}]" for k, c in self.items())
         return f"ModuleElement({self.kind!r}, {body})"
+
+
+def _element(kind, terms):
+    """An element of the library's own making, whose ``terms`` dict maps keys
+    of ``kind`` to nonzero ints: built without ``ModuleElement``'s check."""
+    element = object.__new__(ModuleElement)
+    element.kind = kind
+    element._terms = terms
+    return element
 
 
 def combine(alpha: int, u: ModuleElement, beta: int, v: ModuleElement) -> ModuleElement:
@@ -455,10 +471,6 @@ def _integer_lattice(kind, n):
     return index, _sparse_hnf(dict(row) for row in sorted(rows))
 
 
-def _vectorize(element, index, scale=1):
-    return {index[key]: scale * coeff for key, coeff in element._terms.items()}
-
-
 def quotient_equal(u: ModuleElement, v: ModuleElement, rational=False, max_degree=None) -> bool:
     """Exact equality of ``u`` and ``v`` in the quotient by the 4T relations.
 
@@ -467,11 +479,14 @@ def quotient_equal(u: ModuleElement, v: ModuleElement, rational=False, max_degre
     touches.  Membership is over the integers by default (the modules are
     Z-modules); ``rational=True`` asks the Z question of the difference times
     the product of the HNF pivots, which answers for the Q-span: a coarser
-    diagnostic, different on torsion (dlinear 5).  Degrees above the ceiling
-    raise :class:`UndecidedError` rather than ever returning a wrong boolean,
-    and a key that is not canonical raises ``InvalidArgumentError``.  A
-    ``max_degree`` other than ``None`` that is not an ``int`` (``bool``
-    excluded) or is negative raises ``InvalidArgumentError``.
+    diagnostic, different on torsion (dlinear 5).  One pass over u's terms,
+    then v's, sums ``u - v`` into a dict per chord count, and the nonzero
+    parts are answered in ascending chord count, each before the next: above
+    the ceiling, :class:`UndecidedError` rather than ever a wrong boolean;
+    with a key that is not canonical, ``InvalidArgumentError`` naming the
+    first in u-then-v term order; outside the span, False.  A ``max_degree``
+    other than ``None`` that is not an ``int`` (``bool`` excluded) or is
+    negative raises ``InvalidArgumentError``.
     """
     if not isinstance(u, ModuleElement) or not isinstance(v, ModuleElement):
         raise TypeError("quotient_equal compares ModuleElements")
@@ -479,11 +494,15 @@ def quotient_equal(u: ModuleElement, v: ModuleElement, rational=False, max_degre
         _check_size("max_degree", max_degree)
     if u.kind != v.kind:
         raise KindMismatchError(f"cannot compare {u.kind} and {v.kind} elements")
-    difference = u - v
-    if difference.is_zero():
-        return True
+    parts = {}  # chord count -> {key: coeff} of u - v
+    for terms, sign in ((u._terms, 1), (v._terms, -1)):
+        for key, coeff in terms.items():
+            part = parts.setdefault(key.n, {})
+            part[key] = new = part.get(key, 0) + sign * coeff
+            if not new:
+                del part[key]
     ceiling = DEGREE_CEILING[u.kind] if max_degree is None else max_degree
-    for n in difference.degrees():
+    for n, part in sorted([(n, part) for n, part in parts.items() if part]):
         if n > ceiling:
             raise UndecidedError(
                 f"undecided: degree {n} exceeds the ceiling {ceiling} for kind {u.kind}"
@@ -491,7 +510,7 @@ def quotient_equal(u: ModuleElement, v: ModuleElement, rational=False, max_degre
         index, basis = _integer_lattice(u.kind, n)
         scale = prod(row[c] for c, row in basis.items()) if rational else 1
         try:
-            vec = _vectorize(difference.homogeneous_part(n), index, scale)
+            vec = {index[key]: scale * coeff for key, coeff in part.items()}
         except KeyError as exc:
             raise InvalidArgumentError(
                 f"not a canonical {u.kind} key of degree {n}: {exc.args[0]!r}"

@@ -29,6 +29,7 @@ from .algebra import (
     KindMismatchError,
     ModuleElement,
     UndecidedError,
+    _element,
     quotient_equal,
 )
 from .diagrams import (
@@ -164,38 +165,36 @@ def _column(side, offset, i):
     return offset + 1 + [m.start() for m in _TOKEN_RE.finditer(side)][i]
 
 
-_INT_RE = re.compile(r"-?[0-9]+")
-_SPACE_RE = re.compile(r"\s*")
+# One term of an element; a missing part's group matches empty where it should be
+_TERM_RE = re.compile(r"\s*(?P<coeff>(?:-?[0-9]+)?)\s*(?P<open>\[?)(?P<body>[^\]]*)(\]?)\s*(\+?)")
 
 
 def _parse_element(text):
-    pos = 0
-    terms = []
-    kind = None
-    while True:
-        pos = _SPACE_RE.match(text, pos).end()
-        m = _INT_RE.match(text, pos)
-        if not m:
-            raise ParseError("expected an integer coefficient", pos + 1)
-        coeff = int(m.group(0))
-        pos = _SPACE_RE.match(text, m.end()).end()
-        if pos >= len(text) or text[pos] != "[":
-            raise ParseError("expected '[' after the coefficient", pos + 1)
-        close = text.find("]", pos + 1)
-        if close < 0:
-            raise ParseError("unclosed '['", pos + 1)
-        key = _parse_key(text[pos + 1 : close], pos + 1)
+    terms, kind, pos, more = {}, None, 0, True
+    while more:
+        m = _TERM_RE.match(text, pos)
+        digits, bracket, body, close, more = m.groups()
+        if not digits:
+            raise ParseError("expected an integer coefficient", m.start("coeff") + 1)
+        try:
+            coeff = int(digits)
+        except ValueError:  # more digits than int() converts
+            message = f"coefficient longer than {sys.get_int_max_str_digits()} digits"
+            raise ParseError(message, m.start("coeff") + 1) from None
+        if not bracket:
+            raise ParseError("expected '[' after the coefficient", m.start("open") + 1)
+        if not close:
+            raise ParseError("unclosed '['", m.start("open") + 1)
+        key = _parse_key(body, m.start("body"))
         kind = kind or key.kind
         if key.kind != kind:
-            raise ParseError(f"kind mismatch: {key.kind} term in a {kind} element", pos + 2)
-        terms.append((key, coeff))
-        pos = _SPACE_RE.match(text, close + 1).end()
-        if pos >= len(text):
-            break
-        if text[pos] != "+":
-            raise ParseError("expected '+' between terms", pos + 1)
-        pos += 1
-    return ModuleElement(kind, terms)
+            message = f"kind mismatch: {key.kind} term in a {kind} element"
+            raise ParseError(message, m.start("body") + 1)
+        terms[key] = terms.get(key, 0) + coeff
+        pos = m.end()
+    if pos < len(text):
+        raise ParseError("expected '+' between terms", pos + 1)
+    return _element(kind, {key: c for key, c in terms.items() if c})
 
 
 # ---------------------------------------------------------------------------

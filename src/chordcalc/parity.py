@@ -10,7 +10,7 @@ by exact span membership.
 
 from __future__ import annotations
 
-from .algebra import ModuleElement
+from .algebra import ModuleElement, _element
 from .diagrams import (
     FramedChordDiagram,
     FramedLinearDiagram,
@@ -79,7 +79,7 @@ def _expansion(kind, terms):
         for _mask, w1, w2 in _split_summands(word, dict(key.payload)):
             summand = canon(w1, w2)
             image[summand] = image.get(summand, 0) + coeff
-    return ModuleElement(image_kind, image)
+    return _element(image_kind, {key: c for key, c in image.items() if c})
 
 
 def _psi(kind, d):

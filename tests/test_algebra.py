@@ -17,7 +17,6 @@ from chordcalc.algebra import (
     _integer_lattice,
     _moves,
     _slide_pairs,
-    _vectorize,
     combine,
     generate_2T_pairs,
     generate_4T,
@@ -596,6 +595,11 @@ def test_rational_quotient_matches_fraction_oracle(kind, n):
             assert expected
 
 
+def vectorize(element, index, scale=1):
+    """The sparse ``{column: coeff}`` vector of a homogeneous element."""
+    return {index[key]: scale * coeff for key, coeff in element.items()}
+
+
 def densify(row, width):
     dense = [0] * width
     for c, x in row.items():
@@ -745,7 +749,7 @@ def test_sparse_membership_matches_the_dense_oracle(kind, n):
         vectors += [total, near, 2 * total, 2 * near]
     answers = set()
     for element in vectors:
-        vec = densify(_vectorize(element, index), len(index))
+        vec = densify(vectorize(element, index), len(index))
         for rational in (False, True):
             expected = dense_in_span(vec, hrows, list(basis), rational)
             assert quotient_equal(element, zero, rational=rational) == expected
@@ -860,3 +864,124 @@ def test_quotient_degree_ceiling():
         quotient_equal(
             single(dkey("A A", "")), single(dkey("A", "A")), max_degree=0
         )
+
+
+def composed_quotient_equal(u, v, rational=False, max_degree=None):
+    """``quotient_equal`` composed from the element operations, as it was
+    before the difference was summed in one pass: ``u - v``, then per degree
+    its ``homogeneous_part``, vectorized and reduced by the lattice."""
+    difference = u - v
+    ceiling = algebra.DEGREE_CEILING[u.kind] if max_degree is None else max_degree
+    for n in difference.degrees():
+        if n > ceiling:
+            raise UndecidedError(
+                f"undecided: degree {n} exceeds the ceiling {ceiling} for kind {u.kind}"
+            )
+        index, basis = _integer_lattice(u.kind, n)
+        scale = prod(row[c] for c, row in basis.items()) if rational else 1
+        if _reduce(vectorize(difference.homogeneous_part(n), index, scale), basis):
+            return False
+    return True
+
+
+def outcome(decide, *args, **kwargs):
+    try:
+        return decide(*args, **kwargs)
+    except UndecidedError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize(
+    "kind, top", [(kind, 4) for kind in KINDS] + [("dlinear", 5)], ids=str
+)
+def test_one_pass_quotient_matches_the_composed_decision(kind, top):
+    # random mixed-degree pairs that share cancelling terms: v is u plus
+    # integer combinations of lattice rows, in turn plus nothing, plus one
+    # diagram, plus a diagram above the ceiling on both sides or on u only;
+    # at dlinear 5 every other first case adds the torsion element to u
+    max_degree = top if top > 4 else None
+    torsion = [(CanonicalKey(kind, p), c) for p, c in DLINEAR_5_TORSION] if top == 5 else []
+    rng = random.Random(f"one pass {kind}{top}")
+    keys = {n: enumerate_diagrams(kind, n) for n in range(top + 1)}
+    rows = {}  # degree -> the lattice's rows as terms
+    for n in keys:
+        index, basis = _integer_lattice(kind, n)
+        key_of = dict(map(reversed, index.items()))
+        rows[n] = [[(key_of[c], x) for c, x in row.items()] for row in basis.values()]
+    chords = tuple(c for c in range(1, top + 2) for _ in range(2))
+    nested = tuple(range(1, top + 2)) + tuple(range(top + 1, 0, -1))
+    if kind in ("framed", "linear"):
+        high = [_CANONICALIZERS[kind](tuple(2 * c + c % 2 for c in w)) for w in (chords, nested)]
+    else:
+        high = [_CANONICALIZERS[kind](chords, ()), _CANONICALIZERS[kind](nested[:3], nested[3:])]
+    answers = set()
+    for i in range(40):
+        u = ModuleElement(
+            kind,
+            [(rng.choice(keys[rng.randint(0, top)]), rng.randint(-3, 3)) for _ in range(5)],
+        )
+        v = u
+        for _ in range(rng.randint(1, 3)):
+            n = rng.choice([n for n in rows if rows[n]])
+            v = v + rng.randint(-3, 3) * ModuleElement(kind, rng.choice(rows[n]))
+        if i % 8 == 4:
+            u = u + ModuleElement(kind, torsion)
+        elif i % 4 == 1:
+            v = v + single(rng.choice(keys[rng.randint(0, top)]))
+        elif i % 4:
+            extra = single(rng.choice(high))
+            u, v = u + extra, (v + extra if i % 4 == 2 else v)
+        if rng.random() < 0.5:
+            u, v = v, u
+        for rational in (False, True):
+            got = outcome(quotient_equal, u, v, rational=rational, max_degree=max_degree)
+            expected = outcome(
+                composed_quotient_equal, u, v, rational=rational, max_degree=max_degree
+            )
+            assert got == expected
+            answers.add(got if isinstance(got, bool) else "undecided")
+    assert answers == {True, False, "undecided"}
+
+
+def test_quotient_answers_a_lower_degree_before_refusing_a_higher():
+    # every degree-2 double part is outside the span (no generator survives
+    # there), so the answer is False before degree 5 meets the ceiling
+    high = single(dkey("A B C D E", "A B C D E"))
+    assert not quotient_equal(single(dkey("A A", "B B")) + high, single(dkey("A B", "A B")))
+    with pytest.raises(UndecidedError, match="^undecided: degree 5 exceeds the ceiling 4"):
+        quotient_equal(single(dkey("A A", "B B")) + high, single(dkey("A A", "B B")))
+
+
+def test_quotient_does_not_refuse_a_part_that_cancels_above_the_ceiling():
+    high = single(dkey("A B C D E", "E D C B A"))
+    g3 = next(g.element for g in generate_4T("double", 3, include_zero=False))
+    assert quotient_equal(high + g3, high)
+    assert not quotient_equal(high + single(dkey("A A", "")), high + single(dkey("A", "A")))
+    u = single(dkey("A", "A"))
+    assert quotient_equal(u, u, max_degree=0)
+    with pytest.raises(UndecidedError, match="degree 1 exceeds the ceiling 0"):
+        quotient_equal(u, ModuleElement.zero("double"), max_degree=0)
+
+
+def test_quotient_names_the_first_key_missing_from_its_degree_in_u_then_v_order():
+    # label-swapped payloads of double diagrams of degree 2: diagrams, but
+    # not their canonical keys
+    bad = [CanonicalKey("double", p) for p in [((), (2, 2, 1, 1)), ((2, 1), (2, 1))]]
+    good = single(dkey("A A", "B B"))
+
+    def named(u, v):
+        with pytest.raises(InvalidArgumentError) as raised:
+            quotient_equal(u, v)
+        message = str(raised.value)
+        assert message.startswith("not a canonical double key of degree 2: ")
+        return message.rsplit(": ", 1)[1]
+
+    for first, second in (bad, bad[::-1]):
+        u = ModuleElement("double", [(first, 1), (second, 1)]) + good
+        assert named(u, ModuleElement.zero("double")) == repr(first)
+        assert named(single(second) + good, single(first)) == repr(second)
+        assert named(good, single(first) + single(second)) == repr(first)
+        # a key that cancels between u and v is never looked up
+        assert named(single(first) + single(second), single(first)) == repr(second)
+    assert not quotient_equal(single(bad[0]) + good, single(bad[0]))
+    assert quotient_equal(single(bad[0]), single(bad[0]))

@@ -147,6 +147,7 @@ def test_parse_error_columns():
 
 # Every ParseError branch, with the message and column it reports; checks
 # that several branches could fire for are made in this order.
+LIMIT = sys.get_int_max_str_digits()  # the most digits int() converts
 PARSE_ERRORS = [
     ("cd: A B A B", "token 'A' is missing its framing digit", 5),
     ("lcd: A0 B A0 B1", "token 'B' is missing its framing digit", 9),
@@ -202,6 +203,7 @@ PARSE_ERRORS = [
         14,
     ),
     ("-2 [lcd: Q1 Q1 R]", "token 'R' is missing its framing digit", 16),
+    ("1 [cd:] + -" + "1" * 5000 + " [cd:]", f"coefficient longer than {LIMIT} digits", 11),
 ]
 
 
@@ -222,6 +224,11 @@ def test_coefficients_are_ascii_integers(text, capsys):
     code, out, err = run_main(capsys, "canon", text)
     assert (code, out) == (2, "")
     assert err.startswith("error: column ")
+
+
+def test_a_coefficient_too_long_to_convert_is_a_parse_error(capsys):
+    code, out, err = run_main(capsys, "canon", "1" * 5000 + " [cd:]")
+    assert (code, out, err) == (2, "", f"error: column 1: coefficient longer than {LIMIT} digits\n")
 
 
 def random_label(rng, double):

@@ -139,10 +139,9 @@ def test_a_record_cannot_be_changed(name):
 
 @pytest.mark.parametrize("name", RECORDS)
 def test_a_record_pickles(name):
-    # from protocol 2: a ModuleElement in a generator pickles from there on
     cls, text = RECORDS[name][0], RECORDS[name][3]
     record = _built(name)[0]
-    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         back = pickle.loads(pickle.dumps(record, protocol))
         assert type(back) is cls and repr(back) == text
         assert (back == record) is (name != "CutPoint")
@@ -156,6 +155,24 @@ def test_a_tampered_cut_point_pickle_is_refused():
     assert data.count(b"bK\x01") == 1
     with pytest.raises(InvalidArgumentError, match="^arc index 5 out of range"):
         pickle.loads(data.replace(b"bK\x01", b"bK\x05"))
+
+
+def test_a_module_element_pickles_at_every_protocol():
+    element = ModuleElement("double", [(KEY, 2), (CanonicalKey("double", ((), (1, 1))), -1)])
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(element, protocol))
+        assert type(back) is ModuleElement and back == element and repr(back) == repr(element)
+
+
+def test_a_tampered_module_element_pickle_is_rebuilt_through_the_check():
+    # an element is rebuilt by its public constructor, as a key is: a
+    # coefficient changed to 0 is dropped, one changed to a str is refused
+    data = pickle.dumps(ModuleElement.single(KEY, 2), 2)
+    assert data.count(b"K\x02") == 1
+    back = pickle.loads(data.replace(b"K\x02", b"K\x00"))
+    assert back.is_zero() and back == ModuleElement.zero("double")
+    with pytest.raises(TypeError, match="^integer coefficients only, got str$"):
+        pickle.loads(data.replace(b"K\x02", b"X\x01\x00\x00\x002"))
 
 
 def test_a_smoothing_graph_has_no_free_ends_by_default():
