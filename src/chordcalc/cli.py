@@ -216,7 +216,20 @@ def format_element(element: ModuleElement) -> str:
     diagram with coefficient 0."""
     if element.is_zero():
         return f"0 [{format_diagram(enumerate_diagrams(element.kind, 0)[0])}]"
-    return " + ".join(f"{c} [{format_diagram(k)}]" for k, c in element.items())
+    try:
+        return " + ".join(f"{c} [{format_diagram(k)}]" for k, c in element.items())
+    except ValueError:
+        _refuse_long_ints(c for _, c in element.items())
+        raise
+
+
+def _refuse_long_ints(values):
+    """After ``str`` of an int failed: ``InvalidArgumentError`` if one of
+    ``values`` has more digits than ``str`` converts, a refusal of the
+    output rather than a bug."""
+    limit = sys.get_int_max_str_digits()
+    if limit and any(abs(v) >= 10**limit for v in values):
+        raise InvalidArgumentError(f"output integer longer than {limit} digits") from None
 
 
 def format_pair_sum(pairs: dict) -> str:
@@ -262,7 +275,12 @@ def _cmd_parity(args):
 
 
 def _cmd_weight(args):
-    return 0, str(weight(_as_element(args.input)))
+    value = weight(_as_element(args.input))
+    try:
+        return 0, str(value)
+    except ValueError:
+        _refuse_long_ints([value])
+        raise
 
 
 def _cmd_consum(args):

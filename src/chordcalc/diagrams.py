@@ -328,16 +328,20 @@ def _key_words(key):
     return key.payload
 
 
-class _Tokens(dict):
-    """The ``(number, framing)`` token of every code ``2 * number + framing``
-    looked up, each built once and shared by every key that holds it."""
+class _Memo(dict):
+    """``function`` of every argument looked up, each computed once."""
 
-    def __missing__(self, code):
-        self[code] = token = (code >> 1, code & 1)
-        return token
+    def __init__(self, function):
+        self.function = function
+
+    def __missing__(self, arg):
+        self[arg] = value = self.function(arg)
+        return value
 
 
-_TOKENS = _Tokens()
+#: The ``(number, framing)`` token of every code ``2 * number + framing``
+#: looked up, built once and shared by every key that holds it.
+_TOKENS = _Memo(lambda code: (code >> 1, code & 1))
 
 
 def _numbered(word, numbering):
@@ -561,15 +565,8 @@ def spell_label(i: int) -> str:
     return "".join(reversed(out))
 
 
-class _Spellings(dict):
-    """``spell_label`` of every chord number looked up, each spelled once."""
-
-    def __missing__(self, num):
-        self[num] = name = spell_label(num)
-        return name
-
-
-_SPELLED = _Spellings()
+#: ``spell_label`` of every chord number looked up, each spelled once.
+_SPELLED = _Memo(spell_label)
 
 
 def _spelled_words(key):
@@ -737,6 +734,7 @@ def coproduct(d: FramedChordDiagram) -> dict:
 def restrict(d: FramedChordDiagram, subset) -> FramedChordDiagram:
     """The sub-diagram on a subset of chords; other endpoints are deleted.
     A chord of ``subset`` that ``d`` lacks raises ``InvalidArgumentError``."""
+    _expect(FramedChordDiagram, d)
     subset = set(subset)
     absent = sorted(str(lab) for lab in subset if lab not in d.framing)
     if absent:

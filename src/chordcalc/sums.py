@@ -46,6 +46,7 @@ class CutPoint(_Record):
     __hash__ = object.__hash__
 
     def __post_init__(self):
+        _expect(FramedChordDiagram, self.diagram)
         _check_arc(self.diagram, self.arc)
 
 
@@ -75,8 +76,9 @@ def cut_open(d: FramedChordDiagram, arc) -> FramedLinearDiagram:
     The resulting line starts at the endpoint after the cut and ends at
     endpoint ``arc`` itself.
     """
+    _expect(FramedChordDiagram, d)
     arc = _arc_of(arc, d)
-    word = d.word[arc + 1 :] + d.word[: arc + 1] if d.word else ()
+    word = d.word[arc + 1 :] + d.word[: arc + 1]
     return FramedLinearDiagram(word, d.framing)
 
 

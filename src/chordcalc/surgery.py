@@ -12,7 +12,8 @@ to the band picture and records the hand-checked calibration values.
 
 For framed single-circle diagrams the chord gluing depends on the framing:
 framing 0 smooths coherently as above, framing 1 (the half-twisted band)
-glues ``in(p) ~ in(q)`` and ``out(p) ~ out(q)``.
+glues ``in(p) ~ in(q)`` and ``out(p) ~ out(q)``; ``beta_framed`` counts that
+surface on its orientation double cover, where every band is coherent.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .algebra import KindMismatchError, ModuleElement
-from .diagrams import FramedChordDiagram, _expect, _Record, _TwoWordDiagram
+from .diagrams import FramedChordDiagram, _codes, _expect, _Record, _TwoWordDiagram
 
 
 class _UnionFind:
@@ -69,64 +70,32 @@ class SmoothingGraph(_Record):
         return self.component_count() - self.free_loops
 
 
-def _in(e):
-    return 2 * e
-
-
-def _out(e):
-    return 2 * e + 1
-
-
-def _build_graph(words, cyclic, chord_gluer):
-    offsets = []
-    total = 0
-    for word in words:
-        offsets.append(total)
-        total += len(word)
-    gluings = []
-    free_loops = 0
-    free_ends = []
-    for word, offset in zip(words, offsets):
-        m = len(word)
-        if m == 0:
-            free_loops += 1
-            continue
-        if cyclic:
-            for p in range(m):
-                gluings.append((_out(offset + p), _in(offset + (p + 1) % m)))
-        else:
-            for p in range(m - 1):
-                gluings.append((_out(offset + p), _in(offset + p + 1)))
-            free_ends.append(_in(offset))
-            free_ends.append(_out(offset + m - 1))
-    positions = {}
-    for word, offset in zip(words, offsets):
-        for p, lab in enumerate(word):
-            positions.setdefault(lab, []).append(offset + p)
-    for lab in sorted(positions, key=str):
-        e1, e2 = positions[lab]
-        gluings.extend(chord_gluer(lab, e1, e2))
-    return SmoothingGraph(
-        node_count=2 * total,
-        gluings=tuple(gluings),
-        free_loops=free_loops,
-        free_ends=tuple(free_ends),
-    )
-
-
-def _coherent(_lab, e1, e2):
-    return ((_in(e1), _out(e2)), (_in(e2), _out(e1)))
-
-
 def smoothing_graph(d) -> SmoothingGraph:
     """The surgery pairing of a double chord or double linear diagram.
 
     All chords smooth with the orientation-coherent rule; circle arcs close
     up cyclically while line arcs leave the two extremities as free ends.
+    The arc gluings come first, then each chord's two, in label order.
     """
     if not isinstance(d, _TwoWordDiagram):
         raise TypeError(f"expected a double or dlinear diagram, got {type(d).__name__}")
-    return _build_graph([list(d.word1), list(d.word2)], d.kind == "double", _coherent)
+    cyclic = d.kind == "double"
+    gluings, free_ends, positions, offset = [], [], {}, 0
+    for word in (d.word1, d.word2):
+        m = len(word)
+        # out(p) ~ in(p + 1), with in(e) = 2e and out(e) = 2e + 1
+        arcs = range(m if cyclic else m - 1)
+        gluings += [(2 * (offset + p) + 1, 2 * (offset + (p + 1) % m)) for p in arcs]
+        if m and not cyclic:
+            free_ends += [2 * offset, 2 * (offset + m) - 1]  # in(first), out(last)
+        for e, lab in enumerate(word, offset):
+            positions.setdefault(lab, []).append(e)
+        offset += m
+    for lab in sorted(positions, key=str):
+        p, q = positions[lab]
+        gluings += [(2 * p, 2 * q + 1), (2 * q, 2 * p + 1)]  # in(p) ~ out(q), in(q) ~ out(p)
+    free_loops = (not d.word1) + (not d.word2)
+    return SmoothingGraph(2 * offset, tuple(gluings), free_loops, tuple(free_ends))
 
 
 def _walk_count(words, cyclic):
@@ -195,17 +164,20 @@ def beta(d) -> int:
 def beta_framed(d: FramedChordDiagram) -> int:
     """Surgery component count of a framed chord diagram.
 
+    Half the count of ``_walk_count`` on the orientation double cover of
+    the band surface (``docs/surgery-notes.md`` §1): the circle as the codes
+    ``c = 2k + f`` of ``diagrams._codes``, spelled ``2c`` at a chord's first
+    endpoint and ``2c + f`` at its second, then a reversed copy with every
+    label XOR 1.
+
     A supporting diagnostic (it calibrates the framed relation family); the
     parity map never consumes it.
     """
     _expect(FramedChordDiagram, d)
-
-    def gluer(lab, e1, e2):
-        if d.framing[lab] == 0:
-            return _coherent(lab, e1, e2)
-        return ((_in(e1), _in(e2)), (_out(e1), _out(e2)))
-
-    return _build_graph([list(d.word)], True, gluer).component_count()
+    first = {}  # code -> its first endpoint
+    codes = _codes(d.word, d.framing)
+    top = [2 * c + (c & 1) * (first.setdefault(c, p) != p) for p, c in enumerate(codes)]
+    return _walk_count((top, [lab ^ 1 for lab in reversed(top)]), True) // 2
 
 
 @lru_cache(maxsize=None)

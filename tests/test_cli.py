@@ -231,6 +231,25 @@ def test_a_coefficient_too_long_to_convert_is_a_parse_error(capsys):
     assert (code, out, err) == (2, "", f"error: column 1: coefficient longer than {LIMIT} digits\n")
 
 
+@pytest.mark.parametrize(
+    "command, diagram", [("canon", "cd:"), ("psi", "cd:"), ("weight", "dcd: A | A")]
+)
+def test_an_output_integer_too_long_to_print_is_refused(tmp_path, capsys, command, diagram):
+    # two coefficients that parse add up to one digit more than str() converts;
+    # this used to end in a ValueError traceback (exit 3 from the console)
+    nines = "9" * LIMIT
+    target = tmp_path / "result.txt"
+    for sign in ("", "-"):
+        text = f"{sign}{nines} [{diagram}] + {sign}{nines} [{diagram}]"
+        code, out, err = run_main(capsys, "--out", str(target), command, text)
+        assert (code, out, err) == (2, "", f"error: output integer longer than {LIMIT} digits\n")
+    assert not target.exists()
+    # one of them alone is printed in full
+    code, out, _ = run_main(capsys, command, f"{nines} [{diagram}]")
+    assert code == 0
+    assert nines in out
+
+
 def random_label(rng, double):
     label = rng.choice("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
     label += "".join(rng.choice("abcXYZ0123456789") for _ in range(rng.randint(0, 3)))

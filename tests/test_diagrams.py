@@ -865,6 +865,16 @@ def test_restrict():
     sub = restrict(d, {"B"})
     assert sub.word == ("B", "B")
     assert sub.framing == {"B": 1}
+    # a line used to come back closed up as a circle, and the two-word kinds
+    # raised AttributeError
+    for wrong in (
+        FramedLinearDiagram(d.word, d.framing),
+        DoubleChordDiagram(("A", "B"), ("A", "C", "B", "C")),
+        DoubleLinearDiagram(("A", "B"), ("A", "C", "B", "C")),
+    ):
+        message = f"^expected FramedChordDiagram, got {type(wrong).__name__}$"
+        with pytest.raises(TypeError, match=message):
+            restrict(wrong, {"A", "B"})
 
 
 def test_restrict_to_an_absent_chord_is_refused():

@@ -259,6 +259,26 @@ def test_sums_refuse_diagrams_of_another_kind(sum_of, right, wrong):
     sum_of(right, right)
 
 
+@pytest.mark.parametrize(
+    "wrong",
+    [fld("A B A B", {"A": 0, "B": 1}), DoubleChordDiagram(("A",), ("A",)), dlcd("A", "A")],
+    ids=["linear", "double", "dlinear"],
+)
+def test_cuts_refuse_diagrams_of_another_kind(wrong):
+    # a line used to be cut as if it were a circle and taken as a cut point,
+    # so a line with d's word passed as a cut point of d; the two-word kinds
+    # raised AttributeError.  The kind is checked before the arc.
+    message = f"^expected FramedChordDiagram, got {type(wrong).__name__}$"
+    for call in (
+        lambda: cut_open(wrong, 1),
+        lambda: CutPoint(wrong, 1),
+        lambda: CutPoint(wrong, 9),
+        lambda: CutPoint(wrong, True),
+    ):
+        with pytest.raises(TypeError, match=message):
+            call()
+
+
 def tagged_sum_linear(g1, g2):
     """The linear sum with every label tagged by its operand, ``(0, label)``
     or ``(1, label)``, and the tagged line canonicalized as a diagram."""

@@ -5,6 +5,8 @@ local union-find acting directly on in/out nodes, independent of the library
 builder, before being compared against it.
 """
 
+import random
+
 import pytest
 
 from chordcalc.algebra import KindMismatchError, ModuleElement, generate_2T_pairs, generate_4T
@@ -17,7 +19,14 @@ from chordcalc.diagrams import (
     enumerate_diagrams,
     from_key,
 )
-from chordcalc.surgery import _beta_of_key, beta, beta_framed, smoothing_graph, weight
+from chordcalc.surgery import (
+    SmoothingGraph,
+    _beta_of_key,
+    beta,
+    beta_framed,
+    smoothing_graph,
+    weight,
+)
 
 
 def dcd(w1, w2):
@@ -233,6 +242,39 @@ def test_beta_framed_constant_on_slide_pairs():
         for gen in generate_4T("framed", n):
             for p, q in gen.slide_pairs:
                 assert beta_framed(from_key(p)) == beta_framed(from_key(q))
+
+
+def framed_band_graph(d):
+    """The band rule of docs/surgery-notes.md built by hand on one circle,
+    node ``2p`` the in and ``2p + 1`` the out side of endpoint ``p``."""
+    m = len(d.word)
+    gluings = [(2 * p + 1, 2 * ((p + 1) % m)) for p in range(m)]  # out(p) ~ in(p + 1)
+    where = {}
+    for p, lab in enumerate(d.word):
+        where.setdefault(lab, []).append(p)
+    for lab, (p, q) in where.items():
+        if d.framing[lab] == 0:  # in(p) ~ out(q), in(q) ~ out(p)
+            gluings += [(2 * p, 2 * q + 1), (2 * q, 2 * p + 1)]
+        else:  # the half-twisted band: in(p) ~ in(q), out(p) ~ out(q)
+            gluings += [(2 * p, 2 * q), (2 * p + 1, 2 * q + 1)]
+    return SmoothingGraph(2 * m, tuple(gluings), 0 if m else 1)
+
+
+def test_beta_framed_matches_the_band_graph_on_every_key():
+    # beta_framed walks the orientation double cover; the union-find over the
+    # band gluings is its oracle, on keys and on rotated, relabelled words
+    rng = random.Random(7)
+    for n in range(6):
+        for key in enumerate_diagrams("framed", n):
+            d = from_key(key)
+            assert beta_framed(d) == framed_band_graph(d).component_count(), key
+            r = rng.randrange(max(2 * n, 1))
+            names = dict(zip(d.framing, rng.sample(range(100), n)))
+            moved = FramedChordDiagram(
+                [names[lab] for lab in d.word[r:] + d.word[:r]],
+                {names[lab]: fr for lab, fr in d.framing.items()},
+            )
+            assert beta_framed(moved) == framed_band_graph(moved).component_count(), key
 
 
 def test_beta_framed_rejects_other_kinds():
