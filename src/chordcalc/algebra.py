@@ -31,15 +31,14 @@ from functools import lru_cache
 from math import prod
 
 from .diagrams import (
+    _LEAST,
     KINDS,
     CanonicalKey,
     InvalidArgumentError,
     _check_size,
     _key_words,
-    _least_circle_pair,
-    _least_framed_rotation,
+    _Memo,
     _numbered,
-    _numbered_codes,
     _Record,
     enumerate_diagrams,
 )
@@ -229,21 +228,6 @@ def _slide_pairs(placements, flip):
     return tuple([(p, q) if p.payload <= q.payload else (q, p) for p, q in pairs])
 
 
-def _punctured(kind, words):
-    """The canonical payload of the words of a diagram with one endpoint
-    removed, as a tuple of words; a numbering of their labels that attains
-    it; and for each word ``(i, start)``: rotated to start at ``start``, it
-    is word ``i`` of the payload.  Lines are never rotated or exchanged."""
-    if kind == "framed":
-        best, numbering, start = _least_framed_rotation(words[0])
-        return (best,), numbering, ((0, start),)
-    if kind == "double":
-        return _least_circle_pair(*words)
-    numbering = {}
-    number = _numbered_codes if kind == "linear" else _numbered
-    return tuple([number(w, numbering) for w in words]), numbering, ((0, 0), (1, 0))
-
-
 def _slot_counts(kind, payload):
     """For each word of a punctured payload, the number of distinct places
     the missing endpoint can go on it.
@@ -301,26 +285,22 @@ def _moves(kind, n):
     reads the two placements next to each of ``b``'s endpoints there.  A
     far-side slide across a framing-1 chord flips the framing bit of both
     codes of the moving chord, so it reads the table under the flipped
-    punctured word's own payload and rotation.  Each distinct punctured
-    word is canonicalized once per call, in a dict that the call drops.
+    punctured word's own payload and rotation.  A punctured word's payload,
+    numbering and placement are its least form in ``diagrams._LEAST``, the
+    one the keys are made of, taken once per distinct word in a memo that
+    the call drops.
     """
     shift = int(kind in ("framed", "linear"))  # a one-word label is a code
     bases = enumerate_diagrams(kind, n)
-    canonical = {}  # punctured words -> _punctured of them
-
-    def punctured(words):
-        found = canonical.get(words)
-        if found is None:
-            found = canonical[words] = _punctured(kind, words)
-        return found
-
+    least = _LEAST[kind]
+    punctured = _Memo(lambda words: least(*words))
     table = {}  # punctured payload -> its slot table: a list of bases per word
     for base in bases:
         words = _key_words(base)
         for wi, word in enumerate(words):
             for p in range(len(word)):
                 stripped = words[:wi] + (word[:p] + word[p + 1 :],) + words[wi + 1 :]
-                payload, _, placed = punctured(stripped)
+                payload, _, placed = punctured[stripped]
                 rows = table.get(payload)
                 if rows is None:
                     rows = table[payload] = [[None] * c for c in _slot_counts(kind, payload)]
@@ -340,7 +320,7 @@ def _moves(kind, n):
             for occ, (xwi, xp) in enumerate(a_ends):
                 word = words[xwi]
                 stripped = words[:xwi] + (word[:xp] + word[xp + 1 :],) + words[xwi + 1 :]
-                payload, numbering, placed = punctured(stripped)
+                payload, numbering, placed = punctured[stripped]
                 near = (table[payload], placed)
                 far = None  # the flipped punctured word's slot table and placement
                 for b, b_ends in ends.items():
@@ -356,7 +336,7 @@ def _moves(kind, n):
                     seen.add(datum)
                     if flip and far is None:
                         flipped = (tuple([t ^ 1 if t == a else t for t in stripped[0]]),)
-                        flipped_payload, _, flipped_placed = punctured(flipped)
+                        flipped_payload, _, flipped_placed = punctured[flipped]
                         far = (table[flipped_payload], flipped_placed)
                     placements = []
                     for (wi, p), (rows, placed_at) in zip(b_ends, (near, far if flip else near)):
@@ -393,8 +373,6 @@ def generate_4T(kind, n, include_zero=True):
     sums the signed placements of the same ``_moves`` slides into rows
     directly, with no generator, element or signature built.
     """
-    if kind not in KINDS:
-        raise InvalidArgumentError(f"unknown kind {kind!r}")
     generators = []
     seen = set()
     for base, a, occ, b, placements, flip in _moves(kind, n):

@@ -408,9 +408,10 @@ def _least_rotation(circles, starts, marked=False):
 
 
 def _least_framed_rotation(word):
-    """The least relabelled rotation of a framed code word (see ``_codes``),
-    a numbering of its codes that attains it, and the start of the rotation
-    numbered so: the first that attains it.
+    """The least form of a framed code word (see ``_codes``), in the shape
+    of ``_LEAST``: its least relabelled rotation as the one word, a
+    numbering of its codes that attains it, and the start of the rotation
+    numbered so, the first that attains it, as its placement.
 
     Only the rotations whose first two relabelled codes (the head) are least
     are scanned, and the one rotation of a word shorter than two codes.  A
@@ -432,13 +433,7 @@ def _least_framed_rotation(word):
                 starts.append((0, r))
     best, ties = _least_rotation(((word, {}),), starts, marked=True)
     _, start, numbering = ties[0]
-    return best, numbering, start
-
-
-@lru_cache(maxsize=None)
-def _canon_framed(word) -> CanonicalKey:
-    best = _least_framed_rotation(word)[0]
-    return _key("framed", tuple(map(_TOKENS.__getitem__, best)))
+    return (best,), numbering, ((0, start),)
 
 
 def _least_gap_starts(word):
@@ -476,8 +471,9 @@ def _least_gap_starts(word):
 
 
 def _least_circle_pair(w1, w2):
-    """The least relabelled pair of two circle words, a numbering of their
-    labels that attains it, and where it puts each word.
+    """The least form of two circle words, in the shape of ``_LEAST``: the
+    least relabelled pair, a numbering of their labels that attains it,
+    and where it puts each word.
 
     The pair is the least ``(t1, t2)``: rotations of the two words, in
     either circle order, numbered together by first occurrence.  The
@@ -486,9 +482,7 @@ def _least_circle_pair(w1, w2):
     which the full rotation scan meets them; ``algebra._moves`` numbers the
     target chord of a slide by it.  The placement of that pair gives, for
     ``w1`` and then ``w2``, ``(i, start)``: the word is rotated to start at
-    ``start`` and becomes ``t1`` for ``i = 0``, ``t2`` for ``i = 1``.  The
-    words need not form a diagram: a label may occur once, as in a diagram
-    with one endpoint removed.
+    ``start`` and becomes ``t1`` for ``i = 0``, ``t2`` for ``i = 1``.
     """
     # Pairs compare by t1 first, and t1 depends on the first rotation alone,
     # so stage 1 takes the least t1 over the rotations of both words, and
@@ -527,31 +521,48 @@ def _least_circle_pair(w1, w2):
     return (best1, best2), numbering, placed
 
 
-@lru_cache(maxsize=None)
-def _canon_double(w1, w2) -> CanonicalKey:
-    return _key("double", _least_circle_pair(w1, w2)[0])
-
-
-@lru_cache(maxsize=None)
-def _canon_linear(word) -> CanonicalKey:
-    return _key("linear", tuple(map(_TOKENS.__getitem__, _numbered_codes(word, {}))))
-
-
-@lru_cache(maxsize=None)
-def _canon_dlinear(w1, w2) -> CanonicalKey:
+def _least_lines(*words):
+    """The least form of line words: lines never rotate and keep their
+    order, so it is the words numbered together, each placed as itself.
+    One line is a word of ``_codes``, and keeps its framing bits."""
     numbering = {}
-    return _key("dlinear", (_numbered(w1, numbering), _numbered(w2, numbering)))
+    number = _numbered_codes if len(words) == 1 else _numbered
+    least = tuple([number(w, numbering) for w in words])
+    return least, numbering, tuple([(i, 0) for i in range(len(words))])
 
 
-#: The canonicalizer of each kind: it takes a word of ``_codes`` (one-word
-#: kinds; any int labels, each with one framing) or two label words
-#: (two-word kinds) and trusts them to be a valid diagram.
-_CANONICALIZERS = {
-    "framed": _canon_framed,
-    "double": _canon_double,
-    "linear": _canon_linear,
-    "dlinear": _canon_dlinear,
+#: The least form of each kind, behind its keys, its enumeration and the
+#: punctured words of ``algebra._moves``.  It takes a word of ``_codes`` or
+#: two label words, where a label may occur once (an endpoint removed), and
+#: returns the least int words, a numbering of the labels that attains them
+#: and, per word, ``(i, start)``: rotated to ``start`` it numbers to word i.
+_LEAST = {
+    "framed": _least_framed_rotation,
+    "double": _least_circle_pair,
+    "linear": _least_lines,
+    "dlinear": _least_lines,
 }
+
+
+def _payload(kind, words):
+    """The key payload of a diagram's words: its least words, as
+    ``(number, framing)`` tokens for the one-word kinds."""
+    least = _LEAST[kind](*words)[0]
+    if kind in ("framed", "linear"):
+        return tuple(map(_TOKENS.__getitem__, least[0]))
+    return least
+
+
+def _canonicalizer(kind):
+    """The key of ``kind`` of a diagram's words, cached."""
+    return lru_cache(maxsize=None)(lambda *words: _key(kind, _payload(kind, words)))
+
+
+#: The canonicalizer of each kind: it takes the words ``_LEAST`` takes and
+#: trusts them to be a valid diagram.  Each is bound at module level too, so
+#: that the module's caches list each kind's size and hits.
+_CANONICALIZERS = {kind: _canonicalizer(kind) for kind in KINDS}
+_canon_framed, _canon_double, _canon_linear, _canon_dlinear = _CANONICALIZERS.values()
 
 
 def spell_label(i: int) -> str:
@@ -640,8 +651,8 @@ def enumerate_diagrams(kind: str, n: int):
       so a word is kept only when each circle's own gap tuple (internal
       chords; 0 for a chord to the other circle) is its least rotation.
 
-    The canonicalizers are called unwrapped, so the raw words fill none of
-    their caches, and the one-word keys share their ``(number, framing)``
+    ``_payload`` runs past the canonicalizers' caches, so the raw words
+    fill none, and the one-word keys share their ``(number, framing)``
     tokens.  Cold, one process each, n = 6 takes 1.1-1.6 s for framed,
     0.7-0.9 s for double, 0.9-1.0 s for dlinear and 3.5-3.9 s for linear,
     whose 665,280 keys peak at 280 MB (three runs each, a shared 2-vCPU VM,
@@ -657,7 +668,6 @@ def enumerate_diagrams(kind: str, n: int):
     _check_size("chord count", n)
     size = 2 * n
     framings = list(itertools.product((0, 1), repeat=n))
-    canon = _CANONICALIZERS[kind].__wrapped__
     payloads = set()
     codes = []  # linear: each token (c, f) as the int 2c + f, which orders alike
     for matching in _matchings(list(range(size))):
@@ -675,13 +685,14 @@ def enumerate_diagrams(kind: str, n: int):
         elif kind == "framed":
             if _is_least_rotation(_circle_gaps(partner, 0, size)):
                 for framing in framings:
-                    payloads.add(canon(tuple([2 * c + framing[c - 1] for c in word])).payload)
+                    coded = tuple([2 * c + framing[c - 1] for c in word])
+                    payloads.add(_payload(kind, (coded,)))
         else:
             for s in range(n + 1):
                 if _is_least_rotation(_circle_gaps(partner, 0, s)) and _is_least_rotation(
                     _circle_gaps(partner, s, size)
                 ):
-                    payloads.add(canon(tuple(word[:s]), tuple(word[s:])).payload)
+                    payloads.add(_payload(kind, (tuple(word[:s]), tuple(word[s:]))))
     if kind == "linear":
         # flat int tuples sort several times faster than tuples of tokens
         payloads = [tuple(map(_TOKENS.__getitem__, code)) for code in sorted(codes)]

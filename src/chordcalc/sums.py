@@ -22,6 +22,7 @@ from .diagrams import (
     _codes,
     _expect,
     _key_words,
+    _Memo,
     _Record,
     enumerate_diagrams,
     from_key,
@@ -200,7 +201,7 @@ def search_counterexample(max_chords: int):
     """
     _check_size("max_chords", max_chords)
     tagged = []
-    weights = {}  # sum key -> weight of its parity expansion
+    weights = _Memo(lambda key: weight(psi_module(ModuleElement.single(key))))
     for total in range(2, max_chords + 1):
         for n1 in range(1, total // 2 + 1):
             n2 = total - n1
@@ -217,10 +218,7 @@ def search_counterexample(max_chords: int):
                         row = []
                         for cut2 in cuts2:
                             key = _joined("framed", cut1, cut2)
-                            w = weights.get(key)
-                            if w is None:
-                                w = weights[key] = weight(psi_module(ModuleElement.single(key)))
-                            row.append((key, w))
+                            row.append((key, weights[key]))
                         grid.append(row)
                     by_rows = [
                         ((a1, a2), *grid[a1][a2]) for a1 in range(2 * n1) for a2 in range(2 * n2)

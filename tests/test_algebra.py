@@ -30,8 +30,6 @@ from chordcalc.diagrams import (
     FramedChordDiagram,
     InvalidArgumentError,
     InvalidDiagramError,
-    _canon_double,
-    _canon_framed,
     enumerate_diagrams,
     from_key,
 )
@@ -327,12 +325,11 @@ def test_framed_degree_five_generators_are_pinned():
 def test_no_placement_is_canonicalized():
     # every placement is read from the slot table of the degree's own keys,
     # so a cold generation leaves no miss in the canonical-key caches
-    for kind in ("framed", "double"):
-        _canon_framed.cache_clear()
-        _canon_double.cache_clear()
+    for kind in KINDS:
+        for canon in _CANONICALIZERS.values():
+            canon.cache_clear()
         assert generate_4T(kind, 4)
-        assert _canon_framed.cache_info().misses == 0
-        assert _canon_double.cache_info().misses == 0
+        assert [canon.cache_info().misses for canon in _CANONICALIZERS.values()] == [0] * 4
 
 
 def list_copy_moves(kind, base):

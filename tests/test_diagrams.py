@@ -25,12 +25,12 @@ from chordcalc.diagrams import (
     InvalidDiagramError,
     KINDS,
     _CANONICALIZERS,
+    _LEAST,
     _canon_double,
     _canon_framed,
     _codes,
     _key_words,
     _least_circle_pair,
-    _least_framed_rotation,
     _matchings,
     _numbered_codes,
     _SPELLED,
@@ -327,23 +327,38 @@ def test_framed_pruned_scan_matches_the_brute_force_scan():
         assert key == CanonicalKey("framed", brute_framed_payload(tokens)), tokens
 
 
-def test_a_punctured_framed_word_has_one_least_rotation():
-    # algebra._moves reads its slot table at offsets from the returned
-    # start: the word rotated there numbers to the least rotation, and no
-    # other start does, since the one lone code has to stay in place
-    def relabelled(word):
-        return _numbered_codes(word, {})
-
-    for n in range(1, 5):
-        for key in enumerate_diagrams("framed", n):
-            (codes,) = _key_words(key)
-            for p in range(len(codes)):
-                word = codes[:p] + codes[p + 1 :]
-                best, numbering, start = _least_framed_rotation(word)
-                rotated = word[start:] + word[:start]
-                assert tuple(2 * numbering[c] + (c & 1) for c in rotated) == best
-                least = [r for r in range(len(word)) if relabelled(word[r:] + word[:r]) == best]
-                assert least == [start], (word, least)
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_punctured_key_numbers_to_its_least_form_where_placed(kind):
+    # algebra._moves reads its slot table at offsets from the placement of
+    # each punctured word: rotated to its start and renumbered by the
+    # returned numbering, it must be the least word its placement names
+    coded = kind in ("framed", "linear")
+    least = _LEAST[kind]
+    for n in range(5):
+        for key in enumerate_diagrams(kind, n):
+            words = _key_words(key)
+            assert least(*words)[0] == words, key
+            for wi, word in enumerate(words):
+                for p in range(len(word)):
+                    stripped = words[:wi] + (word[:p] + word[p + 1 :],) + words[wi + 1 :]
+                    best, numbering, placed = least(*stripped)
+                    rotated = [None] * len(best)
+                    for w, (i, start) in zip(stripped, placed, strict=True):
+                        assert start == 0 or kind in ("framed", "double"), placed
+                        rotated[i] = tuple(
+                            2 * numbering[c] + (c & 1) if coded else numbering[c]
+                            for c in w[start:] + w[:start]
+                        )
+                    assert tuple(rotated) == best, (stripped, placed)
+                    if kind == "framed":
+                        # no other start: the one lone code has to stay in place
+                        (w,) = stripped
+                        starts = [
+                            r
+                            for r in range(len(w))
+                            if _numbered_codes(w[r:] + w[:r], {}) == best[0]
+                        ]
+                        assert starts == [placed[0][1]], (w, starts)
 
 
 def test_double_pruned_scan_matches_the_brute_force_scan():
