@@ -29,8 +29,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import prod
+from operator import mul
 
 from .diagrams import (
+    _CANONICALIZERS,
     _LEAST,
     KINDS,
     CanonicalKey,
@@ -465,6 +467,16 @@ def quotient_equal(u: ModuleElement, v: ModuleElement, rational=False, max_degre
     first in u-then-v term order; outside the span, False.  A ``max_degree``
     other than ``None`` that is not an ``int`` (``bool`` excluded) or is
     negative raises ``InvalidArgumentError``.
+
+    A double or dlinear part meets the surgery weight before any lattice:
+    the ceiling check, then the weight ``sum(coeff * beta)``, then the span.
+    The weight vanishes on every 4T generator, so on their integer span and,
+    being linear, on their rational span too: a part of nonzero weight lies
+    in neither, and is False over Z and Q with no enumeration, relation or
+    Hermite basis built.  Its keys are still checked first, each against
+    what its kind's cached canonicalizer makes of its words, which is the
+    set of keys the lattice indexes.  Only a part of weight 0 goes on to
+    the lattice, as framed and linear parts always do.
     """
     if not isinstance(u, ModuleElement) or not isinstance(v, ModuleElement):
         raise TypeError("quotient_equal compares ModuleElements")
@@ -473,18 +485,30 @@ def quotient_equal(u: ModuleElement, v: ModuleElement, rational=False, max_degre
     if u.kind != v.kind:
         raise KindMismatchError(f"cannot compare {u.kind} and {v.kind} elements")
     parts = {}  # chord count -> {key: coeff} of u - v
-    for terms, sign in ((u._terms, 1), (v._terms, -1)):
-        for key, coeff in terms.items():
-            part = parts.setdefault(key.n, {})
-            part[key] = new = part.get(key, 0) + sign * coeff
-            if not new:
-                del part[key]
+    for key, coeff in u._terms.items():
+        parts.setdefault(key.n, {})[key] = coeff
+    for key, coeff in v._terms.items():
+        part = parts.setdefault(key.n, {})
+        new = part.get(key, 0) - coeff
+        if new:
+            part[key] = new
+        else:
+            del part[key]
     ceiling = DEGREE_CEILING[u.kind] if max_degree is None else max_degree
+    weighed = u.kind in ("double", "dlinear")
     for n, part in sorted([(n, part) for n, part in parts.items() if part]):
         if n > ceiling:
             raise UndecidedError(
                 f"undecided: degree {n} exceeds the ceiling {ceiling} for kind {u.kind}"
             )
+        if weighed and sum(map(mul, part.values(), map(_beta_of_key, part))):
+            canonical = _CANONICALIZERS[u.kind]
+            for key in part:
+                if canonical(*key.payload).payload != key.payload:
+                    raise InvalidArgumentError(
+                        f"not a canonical {u.kind} key of degree {n}: {key!r}"
+                    )
+            return False
         index, basis = _integer_lattice(u.kind, n)
         scale = prod(row[c] for c, row in basis.items()) if rational else 1
         try:
@@ -496,3 +520,7 @@ def quotient_equal(u: ModuleElement, v: ModuleElement, rational=False, max_degre
         if _reduce(vec, basis):
             return False
     return True
+
+
+# surgery imports this module, so the weight is bound once it is complete
+from .surgery import _beta_of_key  # noqa: E402

@@ -4,8 +4,8 @@ connected sum is not well defined modulo the 4T relations.
 A framed connected sum cuts each circle at a chosen arc, concatenates the
 two resulting lines with their orientations, and closes up.  Different cut
 choices can land in different quotient classes; the search certifies this by
-comparing the surgery weight of the parity expansions, and the exact
-quotient decision confirms every weight disagreement.
+comparing the surgery weight of the parity expansions, which descends to the
+quotient, so a weight disagreement is an exact proof on its own.
 """
 
 from __future__ import annotations
@@ -184,9 +184,11 @@ def search_counterexample(max_chords: int):
     deterministic order; for each pair exhibiting more than one weight it
     records the first cut pair and the first cut pair that differs from it.
     Returns an empty tuple when no witness exists at this size.  Any witness
-    certifies that the two sums differ in the double-diagram quotient, since
-    the weight descends to it; :func:`chordcalc.algebra.quotient_equal`
-    confirms the inequality exactly.
+    certifies that the two sums differ in the double-diagram quotient, over
+    Z and Q, since the weight vanishes on every 4T relation;
+    :func:`chordcalc.algebra.quotient_equal` answers a witness by that same
+    weight, before any lattice.  The test suite also reduces every witness
+    at four chords by the integer span alone, which splits each of them too.
 
     Two symmetries of the sum spare most of the gluing, and leave the output
     what the loop over every ordered pair and every cut pair returned.  The
@@ -241,8 +243,11 @@ def search_counterexample(max_chords: int):
 def witness_quotient_split(witness: SumWitness) -> bool:
     """True when the two sums' parity expansions differ in the quotient.
 
-    The exact integer-span decision; every weight disagreement must be
-    confirmed by it.
+    The exact decision of :func:`chordcalc.algebra.quotient_equal`.  A
+    witness's sums differ in weight, which vanishes on every 4T relation,
+    so it answers True from the weight alone, with no lattice built; the
+    test suite reduces every witness at four chords by the integer span
+    without the weight as well.
     """
     lhs = psi_module(ModuleElement.single(witness.sum_a))
     rhs = psi_module(ModuleElement.single(witness.sum_b))

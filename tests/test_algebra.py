@@ -27,6 +27,7 @@ from chordcalc.diagrams import (
     KINDS,
     CanonicalKey,
     DoubleChordDiagram,
+    DoubleLinearDiagram,
     FramedChordDiagram,
     InvalidArgumentError,
     InvalidDiagramError,
@@ -47,8 +48,17 @@ def dkey(w1, w2):
     return DoubleChordDiagram(tuple(w1.split()), tuple(w2.split())).key()
 
 
+def lkey(w1, w2):
+    return DoubleLinearDiagram(tuple(w1.split()), tuple(w2.split())).key()
+
+
 def single(key):
     return ModuleElement.single(key)
+
+
+def lattice_calls():
+    info = _integer_lattice.cache_info()
+    return info.hits + info.misses
 
 
 # --- ModuleElement and combine ------------------------------------------------
@@ -799,6 +809,45 @@ def test_the_dlinear_degree_five_torsion_element():
     assert weight(x) == 0
     index, basis = _integer_lattice("dlinear", 5)
     assert prod(row[c] for c, row in basis.items()) == 2**10
+
+
+def test_weight_separated_parts_build_nothing():
+    # w(u - v) != 0 answers False over Z and Q with no diagram enumerated
+    # and no lattice consulted, even at degrees no lattice is built for
+    double = single(dkey("A B C D E F G", "A B C D E F G")), single(
+        dkey("A B C D E F G", "G F E D C B A")
+    )
+    dlinear = single(lkey("A B C D E", "E D C B A")), single(lkey("A B C D E", "A B C D E"))
+    assert [weight(x) for x in double + dlinear] == [1, 7, 6, 2]
+    # label-swapped payloads of double diagrams of degree 2, of weight 4 and 2
+    bad = [CanonicalKey("double", p) for p in [((), (2, 2, 1, 1)), ((2, 1), (2, 1))]]
+    good = single(dkey("A A", "B B"))
+    before = _integer_lattice.cache_info(), enumerate_diagrams.cache_info()
+    assert not quotient_equal(*double, max_degree=7)
+    assert not quotient_equal(*dlinear, rational=True, max_degree=5)
+    for first, second in (bad, bad[::-1]):
+        message = f"not a canonical double key of degree 2: {first!r}"
+        for u, v in [
+            (ModuleElement("double", [(first, 1), (second, 2)]), ModuleElement.zero("double")),
+            (good, single(first) + single(second)),
+        ]:
+            assert weight(u - v)
+            with pytest.raises(InvalidArgumentError) as raised:
+                quotient_equal(u, v)
+            assert str(raised.value) == message
+    assert (_integer_lattice.cache_info(), enumerate_diagrams.cache_info()) == before
+    with pytest.raises(UndecidedError, match="^undecided: degree 7 exceeds the ceiling 4"):
+        quotient_equal(*double)
+    # the torsion element has weight 0, so only the lattice answers it
+    x = ModuleElement(
+        "dlinear", [(CanonicalKey("dlinear", payload), c) for payload, c in DLINEAR_5_TORSION]
+    )
+    zero = ModuleElement.zero("dlinear")
+    assert weight(x) == 0
+    for rational, answer in ((False, False), (True, True)):
+        calls = lattice_calls()
+        assert quotient_equal(x, zero, rational=rational, max_degree=5) is answer
+        assert lattice_calls() == calls + 1
 
 
 def test_dlinear_degree_five_lattice_is_pinned():

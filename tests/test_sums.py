@@ -6,6 +6,7 @@ import re
 import pytest
 
 from chordcalc import verify
+from chordcalc.algebra import _integer_lattice, quotient_equal
 from chordcalc.diagrams import (
     DoubleChordDiagram,
     DoubleLinearDiagram,
@@ -15,6 +16,7 @@ from chordcalc.diagrams import (
     enumerate_diagrams,
     from_key,
 )
+from chordcalc.intlinalg import _reduce
 from chordcalc.parity import psi, psi_l
 from chordcalc.sums import (
     CutPoint,
@@ -392,6 +394,61 @@ def test_witness_quotient_split():
     witnesses = search_counterexample(3)
     for w in witnesses:
         assert witness_quotient_split(w)
+
+
+def test_the_lattice_confirms_every_witness_at_four_chords():
+    # quotient_equal answers a witness by its weight split alone; here the
+    # integer span is asked directly, with no weight, and must agree
+    witnesses = search_counterexample(4)
+    assert len(witnesses) == 54
+    for w in witnesses:
+        difference = psi(from_key(w.sum_a)) - psi(from_key(w.sum_b))
+        n = w.sum_a.n
+        assert difference.degrees() == (n,)
+        index, basis = _integer_lattice("double", n)
+        assert _reduce({index[key]: coeff for key, coeff in difference.items()}, basis)
+
+
+def lattice_calls():
+    info = _integer_lattice.cache_info()
+    return info.hits + info.misses
+
+
+def test_the_pairs_the_weight_misses_are_split_by_the_lattice():
+    # every ordered pair of up to four chords whose cut sums differ in the
+    # quotient: the weight after psi splits 54 (the search's witnesses), and
+    # four have sums of one weight that only the lattice tells apart
+    witnessed = {(w.d1, w.d2) for w in search_counterexample(4)}
+    split, missed = set(), set()
+    for total in range(2, 5):
+        for n1 in range(1, total):
+            for k1 in enumerate_diagrams("framed", n1):
+                d1 = from_key(k1)
+                for k2 in enumerate_diagrams("framed", total - n1):
+                    d2 = from_key(k2)
+                    sums = {
+                        connected_sum_framed(d1, a1, d2, a2).key(): None
+                        for a1 in range(2 * d1.n)
+                        for a2 in range(2 * d2.n)
+                    }
+                    first, *rest = [psi(from_key(key)) for key in sums]
+                    for other in rest:
+                        calls = lattice_calls()
+                        if not quotient_equal(first, other):
+                            split.add((k1, k2))
+                            if (k1, k2) not in witnessed:
+                                assert weight(first) == weight(other)
+                                assert lattice_calls() > calls
+                                missed.add((k1, k2))
+    small = fcd("A A", {"A": 1}).key()
+    large = [
+        fcd("A B B A C C", {"A": 0, "B": 1, "C": 1}).key(),
+        fcd("A A B C C B", {"A": 1, "B": 1, "C": 1}).key(),
+    ]
+    assert len(split) == 58
+    assert len(witnessed) == 54
+    assert split - missed == witnessed
+    assert missed == {(small, k) for k in large} | {(k, small) for k in large}
 
 
 def test_search_rejects_negative():
