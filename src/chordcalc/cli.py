@@ -339,9 +339,7 @@ def _cmd_check_4t(args):
         lines.append(f"2T: {'PASS' if two_t.passed else 'FAIL'}")
         ok = kill.passed and two_t.passed
     else:
-        images = verify.psi_images(kind, n)
-        kill = verify.psi_weight_kill(kind, n, images)
-        span = verify.psi_relation_span(kind, n, images)
+        kill, span = verify.psi_sweeps(kind, n)
         lines.append(f"generators: {kill.checked}")
         lines.append(f"psi-w-kill: {'PASS' if kill.passed else 'FAIL'}")
         lines.append(f"psi-span: {'PASS' if span.passed else 'FAIL'}")

@@ -313,10 +313,11 @@ _CLASSES = {
 
 def _codes(word, framing):
     """A framed word as the int word the one-word canonicalizers take: the
-    ``k``-th label to appear (counted from 0) with framing ``f`` becomes the
-    code ``2k + f``, so the lowest bit of a code is its chord's framing."""
+    ``k``-th label to appear (counted from 1, as ``_key_words`` numbers a
+    key's chords) with framing ``f`` becomes the code ``2k + f``, so the
+    lowest bit of a code is its chord's framing."""
     index = {}
-    return tuple([2 * index.setdefault(lab, len(index)) + framing[lab] for lab in word])
+    return tuple([2 * index.setdefault(lab, len(index) + 1) + framing[lab] for lab in word])
 
 
 def _key_words(key):

@@ -3,13 +3,14 @@
 Each sweep checks one of the structural facts the calculus rests on, over
 every object of the stated size, and reports how many objects were checked
 together with the failures (empty on success).  The command-line ``check-4t``
-command and the acceptance test suite both run these.
+command and the acceptance test suite both run these; the two parity sweeps
+are one pass, ``psi_sweeps``, which holds no parity image.
 """
 
 from __future__ import annotations
 
 from .algebra import ModuleElement, generate_2T_pairs, generate_4T, quotient_equal
-from .diagrams import _check_size, _Record, enumerate_diagrams
+from .diagrams import InvalidArgumentError, _check_size, _Record, enumerate_diagrams
 from .parity import _image_kind, parity_module, psi_module
 from .sums import _key_sum
 from .surgery import _beta_of_key, weight
@@ -27,14 +28,23 @@ class SweepResult(_Record):
         return not self.failures
 
 
+def _label(gen):
+    """A 4T generator's place in its sweep's failure tuples."""
+    return gen.base, gen.moving_chord, gen.occurrence, gen.target_chord
+
+
 def weight_kill(kind: str, n: int) -> SweepResult:
     """The weight system vanishes on every 4T generator (double kinds)."""
+    if kind not in ("double", "dlinear"):
+        raise InvalidArgumentError(
+            f"the weight system is checked on the double and dlinear kinds, got {kind}"
+        )
     failures = []
     gens = generate_4T(kind, n)
     for gen in gens:
         w = weight(gen.element)
         if w != 0:
-            failures.append((gen.base, gen.moving_chord, gen.occurrence, gen.target_chord, w))
+            failures.append((*_label(gen), w))
     return SweepResult(f"w-kill {kind} n={n}", len(gens), tuple(failures))
 
 
@@ -49,35 +59,25 @@ def two_term_beta(kind: str, n: int) -> SweepResult:
     return SweepResult(f"2T beta {kind} n={n}", len(pairs), tuple(failures))
 
 
-def psi_images(kind: str, n: int):
-    """Every 4T generator of a framed or linear degree with its parity
-    image.  The two sweeps below take it as ``images``, computed if not
-    given, so that ``check-4t`` expands each generator once."""
-    _image_kind(kind)
-    return [(gen, parity_module(gen.element)) for gen in generate_4T(kind, n)]
-
-
-def psi_weight_kill(kind: str, n: int, images=None) -> SweepResult:
-    """The weight of the parity image vanishes on every 4T generator
-    (framed or linear kind).  Cheaper necessary half of the span check."""
-    failures = []
-    images = psi_images(kind, n) if images is None else images
-    for gen, image in images:
+def psi_sweeps(kind: str, n: int):
+    """The psi-w-kill and psi-span sweeps of a framed or linear degree, in
+    one pass that expands each 4T generator once: the weight of its parity
+    image vanishes, and the image lies in the integer span of the image
+    kind's 4T generators (exact Diophantine membership)."""
+    zero = ModuleElement.zero(_image_kind(kind))
+    kills, spans = [], []
+    gens = generate_4T(kind, n)
+    for gen in gens:
+        image = parity_module(gen.element)
         w = weight(image)
         if w != 0:
-            failures.append((gen.base, gen.moving_chord, gen.occurrence, gen.target_chord, w))
-    return SweepResult(f"psi-w-kill {kind} n={n}", len(images), tuple(failures))
-
-
-def psi_relation_span(kind: str, n: int, images=None) -> SweepResult:
-    """The parity image of every 4T generator lies in the integer span of
-    the image kind's 4T generators (exact Diophantine membership)."""
-    failures = []
-    images = psi_images(kind, n) if images is None else images
-    for gen, image in images:
-        if not quotient_equal(image, ModuleElement.zero(image.kind)):
-            failures.append((gen.base, gen.moving_chord, gen.occurrence, gen.target_chord))
-    return SweepResult(f"psi-span {kind} n={n}", len(images), tuple(failures))
+            kills.append((*_label(gen), w))
+        if not quotient_equal(image, zero):
+            spans.append(_label(gen))
+    return (
+        SweepResult(f"psi-w-kill {kind} n={n}", len(gens), tuple(kills)),
+        SweepResult(f"psi-span {kind} n={n}", len(gens), tuple(spans)),
+    )
 
 
 def psi_mass(max_n: int) -> SweepResult:

@@ -75,9 +75,10 @@ def test_criterion_3_psi_preserves_relations():
     with criterion(3, "psi of framed 4T generators lies in the double 4T span, n<=3"):
         start = time.monotonic()
         for n in (2, 3):
-            span = verify.psi_relation_span("framed", n)
+            kill, span = verify.psi_sweeps("framed", n)
             assert span.checked > 0
             assert span.failures == ()
+            assert kill.failures == ()
         assert time.monotonic() - start < 600.0
 
 
@@ -86,9 +87,10 @@ def test_criterion_4_linear_analogues():
         for n in (2, 3):
             assert verify.two_term_beta("dlinear", n).failures == ()
             assert verify.weight_kill("dlinear", n).failures == ()
-            span = verify.psi_relation_span("linear", n)
+            kill, span = verify.psi_sweeps("linear", n)
             assert span.checked > 0
             assert span.failures == ()
+            assert kill.failures == ()
 
 
 def test_criterion_5_sum_symmetry_and_beta_additivity():

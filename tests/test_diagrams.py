@@ -602,6 +602,16 @@ def test_from_key_round_trip():
                 assert from_key(key).key() == key
 
 
+def test_a_canonical_code_word_is_its_key_word():
+    # _codes numbers chords from 1, as keys do, so the labels of a key's
+    # diagram code to the key's own word
+    for kind in ("framed", "linear"):
+        for n in range(5):
+            for key in enumerate_diagrams(kind, n):
+                d = from_key(key)
+                assert _codes(d.word, d.framing) == _key_words(key)[0]
+
+
 def test_spell_label():
     assert [spell_label(i) for i in (1, 2, 26, 27, 28, 52, 53)] == [
         "A", "B", "Z", "AA", "AB", "AZ", "BA",

@@ -24,7 +24,7 @@ from chordcalc.parity import (
     psi_summands,
 )
 from chordcalc.surgery import weight
-from chordcalc.verify import psi_relation_span, psi_weight_kill
+from chordcalc.verify import psi_sweeps
 
 
 def fcd(word, framing):
@@ -203,6 +203,15 @@ def test_psi_l_kills_relations_small():
         image = psi_l_module(gen.element)
         assert weight(image) == 0
         assert quotient_equal(image, zero)
+
+
+# each of the two sweeps of the one pass, asked for on its own
+def psi_weight_kill(kind, n):
+    return psi_sweeps(kind, n)[0]
+
+
+def psi_relation_span(kind, n):
+    return psi_sweeps(kind, n)[1]
 
 
 @pytest.mark.parametrize("sweep", [psi_weight_kill, psi_relation_span])

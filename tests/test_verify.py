@@ -2,12 +2,16 @@
 
 Every sweep passes on the shipped relations, so each test here breaks one
 name that ``verify`` imports, for its first call only, and checks the one
-failure that the sweep then reports.
+failure that the sweep then reports.  The one pass of the parity sweeps is
+also checked against two passes, and the refusal of a kind that a sweep does
+not take against any generation of relations.
 """
+
+import pytest
 
 from chordcalc import verify
 from chordcalc.algebra import ModuleElement, generate_2T_pairs, generate_4T
-from chordcalc.diagrams import enumerate_diagrams
+from chordcalc.diagrams import InvalidArgumentError, enumerate_diagrams
 from chordcalc.parity import parity_module
 from chordcalc.sums import _key_sum
 from chordcalc.surgery import _beta_of_key, weight
@@ -26,9 +30,12 @@ def break_first_call(monkeypatch, name, value):
     monkeypatch.setattr(verify, name, broken)
 
 
-def generator_label(kind, n):
-    g = generate_4T(kind, n)[0]
+def generator_label_of(g):
     return g.base, g.moving_chord, g.occurrence, g.target_chord
+
+
+def generator_label(kind, n):
+    return generator_label_of(generate_4T(kind, n)[0])
 
 
 def test_weight_kill_reports_a_generator_with_nonzero_weight(monkeypatch):
@@ -47,15 +54,68 @@ def test_two_term_beta_reports_a_pair_with_unequal_beta(monkeypatch):
 
 def test_psi_weight_kill_reports_a_generator_with_nonzero_weight(monkeypatch):
     break_first_call(monkeypatch, "weight", 5)
-    images = verify.psi_images("linear", 2)
-    assert verify.psi_weight_kill("linear", 2, images).failures == (
-        (*generator_label("linear", 2), 5),
-    )
+    kill, span = verify.psi_sweeps("linear", 2)
+    assert kill.failures == ((*generator_label("linear", 2), 5),)
+    assert span.failures == ()
 
 
 def test_psi_relation_span_reports_an_image_outside_the_span(monkeypatch):
     break_first_call(monkeypatch, "quotient_equal", False)
-    assert verify.psi_relation_span("framed", 2).failures == (generator_label("framed", 2),)
+    kill, span = verify.psi_sweeps("framed", 2)
+    assert span.failures == (generator_label("framed", 2),)
+    assert kill.failures == ()
+
+
+@pytest.mark.parametrize("kind", ["framed", "linear"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_psi_sweeps_match_a_two_pass_oracle(monkeypatch, kind, n):
+    # fakes that depend only on their arguments fail some generators of
+    # each sweep; a pass over the images per sweep must find the same ones
+    weighed, decided = [], []
+
+    def fake_weight(u):
+        weighed.append(u)
+        return 0 if len(u) % 4 else len(u) + 1
+
+    def fake_equal(u, v):
+        decided.append((u, v))
+        return len(u) % 3 != 0
+
+    monkeypatch.setattr(verify, "weight", fake_weight)
+    monkeypatch.setattr(verify, "quotient_equal", fake_equal)
+    gens = generate_4T(kind, n)
+    images = [parity_module(g.element) for g in gens]
+    kills = tuple(
+        (*generator_label_of(g), len(u) + 1) for g, u in zip(gens, images) if len(u) % 4 == 0
+    )
+    spans = tuple(generator_label_of(g) for g, u in zip(gens, images) if len(u) % 3 == 0)
+    assert kills and spans
+
+    kill, span = verify.psi_sweeps(kind, n)
+    assert kill == verify.SweepResult(f"psi-w-kill {kind} n={n}", len(gens), kills)
+    assert span == verify.SweepResult(f"psi-span {kind} n={n}", len(gens), spans)
+    assert weighed == images
+    assert decided == [(u, ModuleElement.zero(u.kind)) for u in images]
+
+
+@pytest.mark.parametrize(
+    "sweep, kind",
+    [
+        (verify.weight_kill, "framed"),
+        (verify.weight_kill, "linear"),
+        (verify.two_term_beta, "framed"),
+        (verify.two_term_beta, "linear"),
+        (verify.psi_sweeps, "double"),
+        (verify.psi_sweeps, "dlinear"),
+    ],
+)
+def test_sweeps_refuse_a_kind_before_generating(monkeypatch, sweep, kind):
+    def unreachable(*args):
+        raise AssertionError("a refused kind generated its 4T relations")
+
+    monkeypatch.setattr(verify, "generate_4T", unreachable)
+    with pytest.raises(InvalidArgumentError):
+        sweep(kind, 4)
 
 
 def test_psi_mass_reports_a_wrong_mass(monkeypatch):
