@@ -11,7 +11,6 @@ from .algebra import (
     ModuleElement,
     RelationGenerator,
     UndecidedError,
-    combine,
     generate_2T_pairs,
     generate_4T,
     quotient_equal,
@@ -30,11 +29,9 @@ from .diagrams import (
     enumerate_diagrams,
     from_key,
     restrict,
-    reverse_word,
 )
 from .parity import psi, psi_l, psi_l_module, psi_l_summands, psi_module, psi_summands
 from .sums import (
-    CutPoint,
     SumWitness,
     connected_sum_dlinear,
     connected_sum_framed,
@@ -49,7 +46,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CanonicalKey",
-    "CutPoint",
     "DEGREE_CEILING",
     "DoubleChordDiagram",
     "DoubleLinearDiagram",
@@ -67,7 +63,6 @@ __all__ = [
     "beta",
     "beta_framed",
     "closure",
-    "combine",
     "connected_sum_dlinear",
     "connected_sum_framed",
     "connected_sum_linear",
@@ -85,7 +80,6 @@ __all__ = [
     "psi_summands",
     "quotient_equal",
     "restrict",
-    "reverse_word",
     "search_counterexample",
     "smoothing_graph",
     "weight",

@@ -183,13 +183,6 @@ def _element(kind, terms):
     return element
 
 
-def combine(alpha: int, u: ModuleElement, beta: int, v: ModuleElement) -> ModuleElement:
-    """Term-wise ``alpha*u + beta*v`` with zero coefficients dropped."""
-    if u.kind != v.kind:
-        raise KindMismatchError(f"cannot combine {u.kind} and {v.kind} elements")
-    return alpha * u + beta * v
-
-
 # ---------------------------------------------------------------------------
 # relation generators
 

@@ -36,22 +36,20 @@ class InvalidArgumentError(ValueError):
 
 class _Record:
     """A read-only record of the fields its subclass annotates, in order,
-    built by position or keyword (a class-body value is a default) and
-    checked by ``__post_init__``.  It prints, compares and hashes as its
-    fields, equals only records of its class, and pickles as its fields,
-    rebuilt through the check.  Unlike a dataclass it imports nothing."""
+    built by position or keyword, every field given, and checked by
+    ``__post_init__``.  It prints, compares and hashes as its fields, equals
+    only records of its class, and pickles as its fields, rebuilt through
+    the check.  Unlike a dataclass it imports nothing."""
 
     __slots__ = ()
 
     def __init_subclass__(cls):
-        cls._fields = cls.__match_args__ = names = tuple(cls.__dict__.get("__annotations__", ()))
-        slots = cls.__dict__.get("__slots__", ())
-        cls._defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__ and n not in slots}
+        cls._fields = cls.__match_args__ = tuple(cls.__dict__.get("__annotations__", ()))
 
     def __init__(self, *args, **kwargs):
         names = self._fields
         given = dict(zip(names, args))
-        values = {**self._defaults, **given, **kwargs}
+        values = {**given, **kwargs}
         if len(args) > len(names) or given.keys() & kwargs or values.keys() != set(names):
             raise TypeError(f"{type(self).__name__} takes each of {', '.join(names)} once")
         for name in names:
@@ -715,11 +713,6 @@ def closure(g: FramedLinearDiagram) -> FramedChordDiagram:
     """
     _expect(FramedLinearDiagram, g)
     return FramedChordDiagram(g.word, g.framing).canonical()
-
-
-def reverse_word(word):
-    """Read a (cyclic or linear) word against its orientation."""
-    return tuple(reversed(tuple(word)))
 
 
 def coproduct(d: FramedChordDiagram) -> dict:

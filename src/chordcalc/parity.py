@@ -55,7 +55,6 @@ def _split_summands(word, framing):
 
 
 def _summands(kind, d):
-    _expect(_CLASSES[kind], d)
     image = _CLASSES[_PARITY[kind]]
     labels = tuple(dict.fromkeys(d.word))
     for mask, w1, w2 in _split_summands(d.word, d.framing):
@@ -106,15 +105,16 @@ def parity_module(u: ModuleElement) -> ModuleElement:
 
 
 def psi_summands(d: FramedChordDiagram):
-    """Yield the 2^n raw splittings of a framed chord diagram.
+    """The 2^n raw splittings of a framed chord diagram, as a generator.
 
-    Yields ``(sides, DoubleChordDiagram)`` pairs where ``sides`` maps each
+    It yields ``(sides, DoubleChordDiagram)`` pairs, where ``sides`` maps each
     chord label to the (first occurrence, second occurrence) side pair, side
     0 being the first circle.  Framing-1 chords always land on two different
     circles, framing-0 chords on one.  The second circle's word is reversed:
     its orientation flips.
     """
-    yield from _summands("framed", d)
+    _expect(FramedChordDiagram, d)
+    return _summands("framed", d)
 
 
 def psi(d: FramedChordDiagram) -> ModuleElement:
@@ -139,7 +139,8 @@ def psi_l_summands(g: FramedLinearDiagram):
     Line 1 keeps the original order of its endpoints; line 2 is read
     reversed, mirroring the circle case.
     """
-    yield from _summands("linear", g)
+    _expect(FramedLinearDiagram, g)
+    return _summands("linear", g)
 
 
 def psi_l(g: FramedLinearDiagram) -> ModuleElement:

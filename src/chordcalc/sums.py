@@ -31,26 +31,6 @@ from .parity import psi_module
 from .surgery import weight
 
 
-class CutPoint(_Record):
-    """An arc on a stored representative: the arc following endpoint ``arc``.
-
-    Arc indices run over ``0 .. 2n-1``; the empty diagram has the single cut
-    point 0.  Cuts never touch chord endpoints.  A cut point is taken only
-    with a diagram of its diagram's word and framing.
-    """
-
-    diagram: FramedChordDiagram
-    arc: int
-
-    # equal only to itself, as its diagram is
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
-
-    def __post_init__(self):
-        _expect(FramedChordDiagram, self.diagram)
-        _check_arc(self.diagram, self.arc)
-
-
 def _check_arc(d, arc):
     if type(arc) is not int:  # bool excluded
         raise InvalidArgumentError(f"arc index must be an int, got {arc!r}")
@@ -59,26 +39,15 @@ def _check_arc(d, arc):
     return arc
 
 
-def _arc_of(cut, d):
-    """The arc index of ``cut`` on ``d``: an int, or a ``CutPoint`` on a
-    diagram with ``d``'s word and framing, since its arc counts along that
-    stored word."""
-    if isinstance(cut, CutPoint):
-        other = cut.diagram
-        if (other.word, other.framing) != (d.word, d.framing):
-            raise InvalidArgumentError(f"a cut point of {other!r}, not of {d!r}")
-        cut = cut.arc
-    return _check_arc(d, cut)
-
-
 def cut_open(d: FramedChordDiagram, arc) -> FramedLinearDiagram:
     """Cut the circle along the arc following endpoint ``arc``.
 
     The resulting line starts at the endpoint after the cut and ends at
-    endpoint ``arc`` itself.
+    endpoint ``arc`` itself.  Arcs run over ``0 .. 2n-1``; the free loop has
+    the single arc 0.
     """
     _expect(FramedChordDiagram, d)
-    arc = _arc_of(arc, d)
+    _check_arc(d, arc)
     word = d.word[arc + 1 :] + d.word[: arc + 1]
     return FramedLinearDiagram(word, d.framing)
 
@@ -119,8 +88,8 @@ def connected_sum_framed(d1, c1, d2, c2) -> FramedChordDiagram:
     representative stored them; the free loop is a two-sided identity.
     """
     _expect(FramedChordDiagram, d1, d2)
-    cut1 = _cut(_codes(d1.word, d1.framing), _arc_of(c1, d1))
-    cut2 = _cut(_codes(d2.word, d2.framing), _arc_of(c2, d2))
+    cut1 = _cut(_codes(d1.word, d1.framing), _check_arc(d1, c1))
+    cut2 = _cut(_codes(d2.word, d2.framing), _check_arc(d2, c2))
     return from_key(_joined("framed", cut1, cut2))
 
 

@@ -7,8 +7,10 @@ it leaves by); core arcs glue ``out(p) ~ in(p')`` for consecutive endpoints,
 and a smoothed chord with endpoints ``p, q`` glues ``in(p) ~ out(q)`` and
 ``in(q) ~ out(p)`` -- the orientation-coherent reconnection.  The component
 count of the resulting pairing, plus one per chordless circle or line, is the
-surgery invariant ``beta``.  ``docs/surgery-notes.md`` traces this rule back
-to the band picture and records the hand-checked calibration values.
+surgery invariant ``beta``.  Every count walks the pairing without building
+it (``_walk_count``); ``smoothing_graph`` spells the pairing out, for
+inspection.  ``docs/surgery-notes.md`` traces this rule back to the band
+picture and records the hand-checked calibration values.
 
 For framed single-circle diagrams the chord gluing depends on the framing:
 framing 0 smooths coherently as above, framing 1 (the half-twisted band)
@@ -24,26 +26,6 @@ from .algebra import KindMismatchError, ModuleElement
 from .diagrams import FramedChordDiagram, _codes, _expect, _Record, _TwoWordDiagram
 
 
-class _UnionFind:
-    def __init__(self, size):
-        self.parent = list(range(size))
-
-    def find(self, a):
-        parent = self.parent
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-    def component_count(self):
-        return sum(1 for i, p in enumerate(self.parent) if self.find(i) == i)
-
-
 class SmoothingGraph(_Record):
     """The node-pairing structure produced by surgery.
 
@@ -57,17 +39,7 @@ class SmoothingGraph(_Record):
     node_count: int
     gluings: tuple
     free_loops: int
-    free_ends: tuple = ()
-
-    def component_count(self) -> int:
-        uf = _UnionFind(self.node_count)
-        for a, b in self.gluings:
-            uf.union(a, b)
-        return uf.component_count() + self.free_loops
-
-    def node_components(self) -> int:
-        """Components among the glued nodes only, ignoring free loops."""
-        return self.component_count() - self.free_loops
+    free_ends: tuple
 
 
 def smoothing_graph(d) -> SmoothingGraph:
@@ -154,7 +126,8 @@ def beta(d) -> int:
 
     Non-compact components of a double linear diagram count once each, like
     any other component; chordless circles and lines contribute one apiece.
-    The count equals ``smoothing_graph(d).component_count()``.
+    The count is that of the classes of ``smoothing_graph(d).gluings`` plus
+    its ``free_loops``, walked without building the graph.
     """
     if not isinstance(d, _TwoWordDiagram):
         raise TypeError(f"expected a double or dlinear diagram, got {type(d).__name__}")

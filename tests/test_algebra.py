@@ -17,7 +17,6 @@ from chordcalc.algebra import (
     _integer_lattice,
     _moves,
     _slide_pairs,
-    combine,
     generate_2T_pairs,
     generate_4T,
     quotient_equal,
@@ -61,29 +60,29 @@ def lattice_calls():
     return info.hits + info.misses
 
 
-# --- ModuleElement and combine ------------------------------------------------
+# --- ModuleElement and its linear combinations ---------------------------------
 
 
 def test_combine_cancels():
     u = single(dkey("A A", ""))
-    assert combine(1, u, -1, u).is_zero()
+    assert (1 * u + -1 * u).is_zero()
 
 
 def test_combine_scales():
     u = single(dkey("A A", ""))
-    assert combine(2, u, 3, u) == 5 * u
+    assert 2 * u + 3 * u == 5 * u
 
 
 def test_combine_mixed():
     d1, d2 = dkey("A A", ""), dkey("A", "A")
     u = ModuleElement("double", [(d1, 2), (d2, 1)])
     v = ModuleElement("double", [(d2, -1)])
-    assert combine(1, u, 1, v) == ModuleElement("double", [(d1, 2)])
+    assert 1 * u + 1 * v == ModuleElement("double", [(d1, 2)])
 
 
 def test_kind_mismatch():
     with pytest.raises(KindMismatchError):
-        combine(1, single(dkey("A A", "")), 1, single(fkey("A A", {"A": 0})))
+        single(dkey("A A", "")) + single(fkey("A A", {"A": 0}))
 
 
 def test_element_accumulates_and_drops_zeros():
@@ -193,11 +192,8 @@ def test_framed_target_framing_one_flips_moving_chord():
     # sliding an endpoint across a half-twisted band flips the slider's framing;
     # the no-flip relation provably fails: the weight of its parity image is
     # nonzero, so it cannot lie in the relation span of the image module.
-    no_flip = combine(
-        1,
-        single(fkey("A A B B C C", {"A": 0, "B": 1, "C": 1})),
-        -1,
-        single(fkey("A B B A C C", {"A": 0, "B": 1, "C": 1})),
+    no_flip = single(fkey("A A B B C C", {"A": 0, "B": 1, "C": 1})) - single(
+        fkey("A B B A C C", {"A": 0, "B": 1, "C": 1})
     )
     assert weight(psi_module(no_flip)) == 16
 

@@ -1,6 +1,7 @@
 """Property tests on random diagrams beyond the exhaustively enumerated
 degrees: canonical keys are invariant under the isomorphisms of each kind,
-and the surgery walk counts what the smoothing graph counts."""
+and the surgery walk counts what the union-find counts on the smoothing
+graph."""
 
 import pytest
 
@@ -13,6 +14,7 @@ from chordcalc.diagrams import (  # noqa: E402
     FramedChordDiagram,
 )
 from chordcalc.surgery import _beta_of_key, beta, smoothing_graph  # noqa: E402
+from union_find import graph_components  # noqa: E402
 
 MAX_CHORDS = 8
 SETTINGS = hypothesis.settings(max_examples=300, deadline=None)
@@ -83,6 +85,6 @@ def test_walk_counts_the_smoothing_graph_components(words, lines):
     # are all drawn
     cls = DoubleLinearDiagram if lines else DoubleChordDiagram
     d = cls(*words)
-    expected = smoothing_graph(d).component_count()
+    expected = graph_components(smoothing_graph(d))
     assert beta(d) == expected
     assert _beta_of_key(d.key()) == expected

@@ -39,7 +39,6 @@ from chordcalc.diagrams import (
     enumerate_diagrams,
     from_key,
     restrict,
-    reverse_word,
     spell_label,
 )
 from chordcalc.parity import _split_summands
@@ -829,13 +828,6 @@ def test_closure_surjective():
                 word = d.word[cut:] + d.word[:cut]
                 hits.add(closure(FramedLinearDiagram(word, d.framing)).key())
             assert key in hits
-
-
-def test_reverse_word():
-    assert reverse_word(("A", "B", "C")) == ("C", "B", "A")
-    assert reverse_word(()) == ()
-    w = ("A", "B", "A", "C", "C", "B")
-    assert reverse_word(reverse_word(w)) == w
 
 
 # --- coproduct ------------------------------------------------------------------

@@ -116,6 +116,22 @@ def test_summands_follow_the_product_split(summands, cls):
             assert got == expected
 
 
+@pytest.mark.parametrize(
+    "summands, cls, wrong",
+    [
+        (psi_summands, FramedChordDiagram, fld("A A", {"A": 0})),
+        (psi_l_summands, FramedLinearDiagram, fcd("A A", {"A": 0})),
+    ],
+    ids=["psi_summands", "psi_l_summands"],
+)
+def test_summands_refuse_another_class_when_called(summands, cls, wrong):
+    # nothing is iterated: the class is checked when the function is called
+    for arg in (42, wrong):
+        message = f"^expected {cls.__name__}, got {type(arg).__name__}$"
+        with pytest.raises(TypeError, match=message):
+            summands(arg)
+
+
 def test_psi_summand_sides_respect_framings():
     for n in range(4):
         for key in enumerate_diagrams("framed", n):

@@ -1,10 +1,9 @@
-"""The library's six frozen records: CanonicalKey, RelationGenerator,
-SmoothingGraph, CutPoint, SumWitness and SweepResult.
+"""The library's five frozen records: CanonicalKey, RelationGenerator,
+SmoothingGraph, SumWitness and SweepResult.
 
-Each is built from its fields by position or by keyword, prints as its
-fields, cannot be changed and pickles.  All but CutPoint compare and hash as
-the tuple of their fields, and equal only a record of their own class;
-a cut point equals only itself.
+Each is built from all of its fields by position or by keyword, prints as
+its fields, cannot be changed and pickles.  Each compares and hashes as the
+tuple of its fields, and equals only a record of its own class.
 """
 
 import pickle
@@ -13,9 +12,6 @@ import pytest
 
 from chordcalc import (
     CanonicalKey,
-    CutPoint,
-    FramedChordDiagram,
-    InvalidArgumentError,
     ModuleElement,
     RelationGenerator,
     SmoothingGraph,
@@ -25,7 +21,6 @@ from chordcalc.verify import SweepResult
 
 KEY = CanonicalKey("double", ((1, 1), ()))
 KEY_TEXT = "CanonicalKey(kind='double', payload=((1, 1), ()))"
-CIRCLE = FramedChordDiagram(("A", "A"), {"A": 1})
 SUM = CanonicalKey("framed", ((1, 0), (1, 0)))
 SUM_TEXT = "CanonicalKey(kind='framed', payload=((1, 0), (1, 0)))"
 
@@ -56,12 +51,6 @@ RECORDS = {
         "SmoothingGraph(node_count=4, gluings=((0, 3), (2, 1)), free_loops=0, "
         "free_ends=(0, 1, 2, 3))",
     ),
-    "CutPoint": (
-        CutPoint,
-        ("diagram", "arc"),
-        (CIRCLE, 1),
-        "CutPoint(diagram=FramedChordDiagram(('A', 'A'), {'A': 1}), arc=1)",
-    ),
     "SumWitness": (
         SumWitness,
         ("d1", "d2", "cuts_a", "cuts_b", "sum_a", "sum_b", "w_a", "w_b", "w_values"),
@@ -76,7 +65,6 @@ RECORDS = {
         "SweepResult(description='w-kill double n=2', checked=3, failures=())",
     ),
 }
-COMPARED = [name for name in RECORDS if name != "CutPoint"]
 
 
 def _built(name):
@@ -99,6 +87,7 @@ def test_a_record_takes_each_field_once(name):
     for call in (
         lambda: cls(*values, None),
         lambda: cls(*values[:1]),
+        lambda: cls(*values[:-1]),
         lambda: cls(*values, **{names[0]: values[0]}),
         lambda: cls(**fields, other=None),
     ):
@@ -106,7 +95,7 @@ def test_a_record_takes_each_field_once(name):
             call()
 
 
-@pytest.mark.parametrize("name", COMPARED)
+@pytest.mark.parametrize("name", RECORDS)
 def test_equal_records_are_equal_and_hash_equal_but_equal_no_tuple(name):
     record, again = _built(name)
     values = RECORDS[name][2]
@@ -144,17 +133,7 @@ def test_a_record_pickles(name):
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         back = pickle.loads(pickle.dumps(record, protocol))
         assert type(back) is cls and repr(back) == text
-        assert (back == record) is (name != "CutPoint")
-
-
-def test_a_tampered_cut_point_pickle_is_refused():
-    # a record is rebuilt through its check, as a key is: the arc 1 after
-    # the diagram's BUILD opcode changed to 5
-    cut = CutPoint(FramedChordDiagram(("A", "A"), {"A": 0}), 1)
-    data = pickle.dumps(cut, 2)
-    assert data.count(b"bK\x01") == 1
-    with pytest.raises(InvalidArgumentError, match="^arc index 5 out of range"):
-        pickle.loads(data.replace(b"bK\x01", b"bK\x05"))
+        assert back == record
 
 
 def test_a_module_element_pickles_at_every_protocol():
@@ -173,20 +152,6 @@ def test_a_tampered_module_element_pickle_is_rebuilt_through_the_check():
     assert back.is_zero() and back == ModuleElement.zero("double")
     with pytest.raises(TypeError, match="^integer coefficients only, got str$"):
         pickle.loads(data.replace(b"K\x02", b"X\x01\x00\x00\x002"))
-
-
-def test_a_smoothing_graph_has_no_free_ends_by_default():
-    graph = SmoothingGraph(2, ((0, 1),), 1)
-    assert graph.free_ends == ()
-    assert graph == SmoothingGraph(2, ((0, 1),), 1, ())
-    assert graph.component_count() == 2
-
-
-def test_a_cut_point_equals_only_itself():
-    cut, again = _built("CutPoint")
-    assert cut == cut and cut != again and not cut == again
-    assert hash(cut) == object.__hash__(cut)
-    assert len({cut, again}) == 2
 
 
 def test_a_sweep_result_passes_without_failures():

@@ -19,7 +19,6 @@ from chordcalc.diagrams import (
 from chordcalc.intlinalg import _reduce
 from chordcalc.parity import psi, psi_l
 from chordcalc.sums import (
-    CutPoint,
     SumWitness,
     connected_sum_dlinear,
     connected_sum_framed,
@@ -78,10 +77,10 @@ def test_cut_open():
 def test_cut_point_validation():
     d = fcd("A A", {"A": 0})
     with pytest.raises(ValueError):
-        CutPoint(d, 2)
+        cut_open(d, 2)
     with pytest.raises(ValueError):
         connected_sum_framed(d, -1, d, 0)
-    CutPoint(FREE_LOOP, 0)
+    cut_open(FREE_LOOP, 0)
 
 
 @pytest.mark.parametrize("arc", [True, False, 1.0, "1"])
@@ -90,7 +89,6 @@ def test_a_bool_arc_is_refused(arc):
     # a non-int arc is refused as one, not as out of range
     d = fcd("A B A B", {"A": 0, "B": 1})
     for call in (
-        lambda: CutPoint(d, arc),
         lambda: cut_open(d, arc),
         lambda: connected_sum_framed(d, arc, d, 0),
         lambda: connected_sum_framed(d, 0, d, arc),
@@ -98,34 +96,6 @@ def test_a_bool_arc_is_refused(arc):
         message = f"arc index must be an int, got {arc!r}"
         with pytest.raises(InvalidArgumentError, match=f"^{re.escape(message)}$"):
             call()
-
-
-def test_cut_point_objects_accepted():
-    d1 = fcd("A A", {"A": 1})
-    d2 = fcd("B B", {"B": 0})
-    via_int = connected_sum_framed(d1, 1, d2, 0)
-    via_cut = connected_sum_framed(d1, CutPoint(d1, 1), d2, CutPoint(d2, 0))
-    assert via_int.key() == via_cut.key()
-
-
-def test_a_cut_point_of_another_diagram_is_refused():
-    d1 = fcd("A A", {"A": 1})
-    d2 = fcd("B B C C", {"B": 0, "C": 1})
-    refused = [
-        lambda: connected_sum_framed(d1, CutPoint(d2, 1), d2, 0),
-        lambda: connected_sum_framed(d1, 0, d2, CutPoint(d1, 1)),
-        lambda: cut_open(d1, CutPoint(d2, 1)),
-        # same word, other framing; a rotated or relabelled word
-        lambda: cut_open(d1, CutPoint(fcd("A A", {"A": 0}), 1)),
-        lambda: cut_open(d2, CutPoint(fcd("C C B B", {"B": 0, "C": 1}), 1)),
-        lambda: cut_open(d1, CutPoint(fcd("B B", {"B": 1}), 1)),
-    ]
-    for call in refused:
-        with pytest.raises(InvalidArgumentError, match="^a cut point of FramedChordDiagram"):
-            call()
-    # an equal copy is the same stored word
-    copy = fcd("A A", {"A": 1})
-    assert cut_open(d1, CutPoint(copy, 1)).word == cut_open(d1, 1).word
 
 
 def test_sum_well_defined_on_raw_diagrams():
@@ -267,15 +237,15 @@ def test_sums_refuse_diagrams_of_another_kind(sum_of, right, wrong):
     ids=["linear", "double", "dlinear"],
 )
 def test_cuts_refuse_diagrams_of_another_kind(wrong):
-    # a line used to be cut as if it were a circle and taken as a cut point,
-    # so a line with d's word passed as a cut point of d; the two-word kinds
+    # a line used to be cut as if it were a circle; the two-word kinds
     # raised AttributeError.  The kind is checked before the arc.
     message = f"^expected FramedChordDiagram, got {type(wrong).__name__}$"
     for call in (
         lambda: cut_open(wrong, 1),
-        lambda: CutPoint(wrong, 1),
-        lambda: CutPoint(wrong, 9),
-        lambda: CutPoint(wrong, True),
+        lambda: cut_open(wrong, 9),
+        lambda: cut_open(wrong, True),
+        lambda: connected_sum_framed(wrong, 9, FREE_LOOP, 0),
+        lambda: connected_sum_framed(FREE_LOOP, 0, wrong, True),
     ):
         with pytest.raises(TypeError, match=message):
             call()

@@ -1,10 +1,13 @@
 """Smoothing graphs, component counts, and the weight system.
 
-The component counts of the worked single-circle words are recomputed with a
-local union-find acting directly on in/out nodes, independent of the library
-builder, before being compared against it.
+The library counts components only with its endpoint walk.  The union-find
+of ``tests/union_find.py`` is its oracle: it counts the classes of the
+library's smoothing graphs, of the framed band graph built here by hand, and
+of the in/out nodes of the worked single-circle words, traced here
+independently of the library builder.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -27,6 +30,7 @@ from chordcalc.surgery import (
     smoothing_graph,
     weight,
 )
+from union_find import components, graph_components
 
 
 def dcd(w1, w2):
@@ -58,19 +62,7 @@ def circle_components(word):
     for lab, (p, q) in where.items():
         edges.append((node(("in", p)), node(("out", q))))
         edges.append((node(("in", q)), node(("out", p))))
-    parent = list(range(len(nodes)))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for a, b in edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    return len({find(i) for i in range(len(nodes))})
+    return components(len(nodes), edges)
 
 
 # --- smoothing graph structure -------------------------------------------------
@@ -81,7 +73,7 @@ def test_graph_of_two_free_loops():
     assert g.node_count == 0
     assert g.gluings == ()
     assert g.free_loops == 2
-    assert g.component_count() == 2
+    assert graph_components(g) == 2
 
 
 def test_graph_of_one_joining_chord():
@@ -107,7 +99,27 @@ def test_graph_of_chord_plus_free_loop():
         frozenset({2, 1}),  # chord in(q) ~ out(p)
     }
     assert g.free_loops == 1
-    assert g.component_count() == 3
+    assert graph_components(g) == 3
+
+
+@pytest.mark.parametrize(
+    "kind, top, lines, digest",
+    [
+        ("double", 6, 4167, "7cac789a24628de08dce448672123d51a84f850a2f40cd53f12f0a543aa30792"),
+        ("dlinear", 5, 11464, "cd9092355735a3bede962ad34822b38d70e499662d8eef2b26c3e467dbc38452"),
+    ],
+)
+def test_smoothing_graphs_are_pinned(kind, top, lines, digest):
+    # one repr line per key of degree 0 .. top, in enumeration order; the
+    # sha256 was recorded while the graph record still counted its own
+    # components
+    text = "".join(
+        f"{smoothing_graph(from_key(key))!r}\n"
+        for n in range(top + 1)
+        for key in enumerate_diagrams(kind, n)
+    )
+    assert text.count("\n") == lines
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_every_node_in_one_arc_and_one_chord_gluing():
@@ -154,8 +166,8 @@ def test_single_circle_calibration_values():
     words = ["A B B A", "B A B A", "B A B A", "B B A A"]
     assert [circle_components(w.split()) for w in words] == [3, 1, 1, 3]
     graphs = [smoothing_graph(dcd(w, "")) for w in words]
-    assert [g.node_components() for g in graphs] == [3, 1, 1, 3]
-    assert [g.component_count() for g in graphs] == [4, 2, 2, 4]
+    assert [components(g.node_count, g.gluings) for g in graphs] == [3, 1, 1, 3]
+    assert [graph_components(g) for g in graphs] == [4, 2, 2, 4]
 
 
 def test_beta_matches_circle_oracle():
@@ -181,7 +193,7 @@ def test_walk_matches_the_smoothing_graph_on_every_key(kind, max_n):
     for n in range(max_n + 1):
         for key in enumerate_diagrams(kind, n):
             d = from_key(key)
-            expected = smoothing_graph(d).component_count()
+            expected = graph_components(smoothing_graph(d))
             assert _beta_of_key(key) == expected, key
             assert beta(d) == expected, key
 
@@ -257,7 +269,7 @@ def framed_band_graph(d):
             gluings += [(2 * p, 2 * q + 1), (2 * q, 2 * p + 1)]
         else:  # the half-twisted band: in(p) ~ in(q), out(p) ~ out(q)
             gluings += [(2 * p, 2 * q), (2 * p + 1, 2 * q + 1)]
-    return SmoothingGraph(2 * m, tuple(gluings), 0 if m else 1)
+    return SmoothingGraph(2 * m, tuple(gluings), 0 if m else 1, ())
 
 
 def test_beta_framed_matches_the_band_graph_on_every_key():
@@ -267,14 +279,14 @@ def test_beta_framed_matches_the_band_graph_on_every_key():
     for n in range(6):
         for key in enumerate_diagrams("framed", n):
             d = from_key(key)
-            assert beta_framed(d) == framed_band_graph(d).component_count(), key
+            assert beta_framed(d) == graph_components(framed_band_graph(d)), key
             r = rng.randrange(max(2 * n, 1))
             names = dict(zip(d.framing, rng.sample(range(100), n)))
             moved = FramedChordDiagram(
                 [names[lab] for lab in d.word[r:] + d.word[:r]],
                 {names[lab]: fr for lab, fr in d.framing.items()},
             )
-            assert beta_framed(moved) == framed_band_graph(moved).component_count(), key
+            assert beta_framed(moved) == graph_components(framed_band_graph(moved)), key
 
 
 def test_beta_framed_rejects_other_kinds():
